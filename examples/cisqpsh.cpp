@@ -355,9 +355,11 @@ class Shell {
       std::printf("%s\n", result.status().ToString().c_str());
       return;
     }
-    std::printf("tried %zu order(s), %zu feasible; cheapest (est. %.0f bytes):\n%s",
-                result->orders_tried, result->orders_feasible,
-                result->estimated_bytes, result->plan.ToString(cat_).c_str());
+    std::printf(
+        "tried %zu order(s), %zu feasible, %zu pruned unbuilt; cheapest "
+        "(est. %.0f bytes):\n%s",
+        result->orders_tried, result->orders_feasible, result->orders_pruned,
+        result->estimated_bytes, result->plan.ToString(cat_).c_str());
   }
 
   /// \serve: the same query from `clients_` concurrent client threads

@@ -1,5 +1,7 @@
 #include "authz/canview_cache.hpp"
 
+#include <functional>
+
 #include "obs/metrics.hpp"
 
 namespace cisqp::authz {
@@ -28,19 +30,28 @@ std::string ProfileCacheKey(const Profile& profile, catalog::ServerId server) {
   return key;
 }
 
+namespace {
+
+std::size_t StripeOf(const std::string& key, std::size_t stripes) {
+  return std::hash<std::string>{}(key) % stripes;
+}
+
+}  // namespace
+
 CanViewExplanation CachingPolicy::Explain(const Profile& profile,
                                           catalog::ServerId server) const {
-  const std::string key = ProfileCacheKey(profile, server);
+  std::string key = ProfileCacheKey(profile, server);
+  Shard& shard = shards_[StripeOf(key, kShards)];
   {
-    const std::lock_guard<std::mutex> lock(mu_);
-    const auto it = memo_.find(key);
-    if (it != memo_.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
+    const std::lock_guard<std::mutex> lock(shard.mu);
+    const auto it = shard.memo.find(key);
+    if (it != shard.memo.end()) {
+      shard.hits.fetch_add(1, std::memory_order_relaxed);
       CISQP_METRIC_INC("authz.canview_cache.hit");
       return it->second.explanation;
     }
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
+  shard.misses.fetch_add(1, std::memory_order_relaxed);
   CISQP_METRIC_INC("authz.canview_cache.miss");
   Entry entry;
   entry.explanation = base_.ExplainCanView(profile, server);
@@ -52,8 +63,8 @@ CanViewExplanation CachingPolicy::Explain(const Profile& profile,
   }
   CanViewExplanation explanation = entry.explanation;
   {
-    const std::lock_guard<std::mutex> lock(mu_);
-    memo_.emplace(std::move(key), std::move(entry));
+    const std::lock_guard<std::mutex> lock(shard.mu);
+    shard.memo.emplace(std::move(key), std::move(entry));
   }
   return explanation;
 }
@@ -61,35 +72,67 @@ CanViewExplanation CachingPolicy::Explain(const Profile& profile,
 std::size_t CachingPolicy::RetainFrom(const CachingPolicy& prior,
                                       const IdSet& changed_relations) {
   if (cat_ == nullptr || prior.cat_ == nullptr) return 0;
-  const std::lock_guard<std::mutex> prior_lock(prior.mu_);
-  const std::lock_guard<std::mutex> lock(mu_);
   std::size_t retained = 0;
-  for (const auto& [key, entry] : prior.memo_) {
-    if (entry.relations.empty()) continue;
-    if (entry.relations.Intersects(changed_relations)) continue;
-    memo_.emplace(key, entry);
-    ++retained;
+  // Both memos stripe by the same hash, so a key keeps its stripe index.
+  for (std::size_t i = 0; i < kShards; ++i) {
+    Shard& from = prior.shards_[i];
+    Shard& to = shards_[i];
+    const std::lock_guard<std::mutex> prior_lock(from.mu);
+    const std::lock_guard<std::mutex> lock(to.mu);
+    for (const auto& [key, entry] : from.memo) {
+      if (entry.relations.empty()) continue;
+      if (entry.relations.Intersects(changed_relations)) continue;
+      to.memo.emplace(key, entry);
+      ++retained;
+    }
   }
   CISQP_METRIC_ADD("authz.canview_cache.retained", retained);
   return retained;
 }
 
 void CachingPolicy::BumpEpoch() {
-  const std::lock_guard<std::mutex> lock(mu_);
   // Every entry carries the pre-bump epoch's verdicts; all are affected.
-  memo_.clear();
+  // Holding every stripe (in index order) makes the clear and the bump one
+  // step for concurrent probes, as a single lock did.
+  std::array<std::unique_lock<std::mutex>, kShards> locks;
+  for (std::size_t i = 0; i < kShards; ++i) {
+    locks[i] = std::unique_lock<std::mutex>(shards_[i].mu);
+  }
+  for (Shard& shard : shards_) shard.memo.clear();
   epoch_.fetch_add(1, std::memory_order_relaxed);
   CISQP_METRIC_INC("authz.canview_cache.epoch_bumps");
 }
 
 void CachingPolicy::Clear() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  memo_.clear();
+  for (Shard& shard : shards_) {
+    const std::lock_guard<std::mutex> lock(shard.mu);
+    shard.memo.clear();
+  }
+}
+
+std::uint64_t CachingPolicy::hits() const noexcept {
+  std::uint64_t total = 0;
+  for (const Shard& shard : shards_) {
+    total += shard.hits.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+std::uint64_t CachingPolicy::misses() const noexcept {
+  std::uint64_t total = 0;
+  for (const Shard& shard : shards_) {
+    total += shard.misses.load(std::memory_order_relaxed);
+  }
+  return total;
 }
 
 std::size_t CachingPolicy::size() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return memo_.size();
+  std::size_t total = 0;
+  for (Shard& shard : shards_) {
+    const std::lock_guard<std::mutex> lock(shard.mu);
+    total += shard.memo.size();
+  }
+  return total;
 }
 
 }  // namespace cisqp::authz

@@ -191,7 +191,125 @@ std::unique_ptr<PlanNode> Prune(const catalog::Catalog& cat,
   return node;
 }
 
+/// Wraps `node` in a σ over `predicate` unless it is empty.
+std::unique_ptr<PlanNode> SelectIfAny(std::unique_ptr<PlanNode> node,
+                                      algebra::Predicate predicate) {
+  if (predicate.IsTrue()) return node;
+  return PlanNode::Select(std::move(node), std::move(predicate));
+}
+
+/// The final π on the select list, unless the tree already produces exactly
+/// it (shared by Finish and LeftDeepBuilder::Complete).
+std::unique_ptr<PlanNode> ProjectSelectList(const catalog::Catalog& cat,
+                                            std::unique_ptr<PlanNode> root,
+                                            const QuerySpec& spec) {
+  if (spec.distinct || root->OutputAttributes(cat) != spec.select_list) {
+    root = PlanNode::Project(std::move(root), spec.select_list);
+    root->distinct = spec.distinct;
+  }
+  return root;
+}
+
 }  // namespace
+
+LeftDeepBuilder::LeftDeepBuilder(const catalog::Catalog& cat,
+                                 const QuerySpec& spec,
+                                 const BuildOptions& options)
+    : cat_(cat), spec_(spec), options_(options) {
+  // Prune keeps at a leaf what the select list, the join atoms and the σs
+  // on its path to the root read. Every atom and conjunct over a relation
+  // lies on that relation's path, so the keep set depends on the query only.
+  for (catalog::AttributeId a : spec.select_list) required_.Insert(a);
+  for (const JoinStep& step : spec.joins) {
+    for (const algebra::EquiJoinAtom& atom : step.atoms) {
+      required_.Insert(atom.left);
+      required_.Insert(atom.right);
+    }
+  }
+  for (const algebra::Comparison& c : spec.where.conjuncts()) {
+    IdSet relations{cat.attribute(c.lhs).relation};
+    required_.Insert(c.lhs);
+    if (c.rhs_is_attribute()) {
+      const auto rhs = std::get<catalog::AttributeId>(c.rhs);
+      required_.Insert(rhs);
+      relations.Insert(cat.attribute(rhs).relation);
+    }
+    conjunct_relations_.push_back(std::move(relations));
+  }
+}
+
+std::size_t LeftDeepBuilder::FirstAbove(const IdSet& placed) const {
+  for (std::size_t i = 0; i < conjunct_relations_.size(); ++i) {
+    if (conjunct_relations_[i].size() > 1 &&
+        !conjunct_relations_[i].IsSubsetOf(placed)) {
+      return i;
+    }
+  }
+  return conjunct_relations_.size();
+}
+
+std::unique_ptr<PlanNode> LeftDeepBuilder::Operand(catalog::RelationId rel,
+                                                   const IdSet& placed) const {
+  std::unique_ptr<PlanNode> node = PlanNode::Relation(rel);
+  if (options_.push_projections) {
+    const std::vector<catalog::AttributeId>& all =
+        cat_.relation(rel).attributes;
+    std::vector<catalog::AttributeId> keep = OrderedIntersect(all, required_);
+    CISQP_CHECK_MSG(!keep.empty(), "pruned a leaf to zero attributes");
+    if (keep.size() != all.size()) {
+      node = PlanNode::Project(std::move(node), std::move(keep));
+    }
+  }
+  if (!options_.push_selections) return node;
+  // Single-relation conjuncts descend to the scan until a σ above the
+  // prefix intercepts them.
+  algebra::Predicate own;
+  const std::size_t above = FirstAbove(placed);
+  for (std::size_t i = 0; i < above; ++i) {
+    if (conjunct_relations_[i].size() == 1 &&
+        conjunct_relations_[i].Contains(rel)) {
+      own.And(spec_.where.conjuncts()[i]);
+    }
+  }
+  return SelectIfAny(std::move(node), std::move(own));
+}
+
+std::unique_ptr<PlanNode> LeftDeepBuilder::Start(
+    catalog::RelationId first) const {
+  return Operand(first, IdSet{});
+}
+
+std::unique_ptr<PlanNode> LeftDeepBuilder::Extend(
+    std::unique_ptr<PlanNode> prefix, const IdSet& placed,
+    JoinStep step) const {
+  const catalog::RelationId rel = step.relation;
+  std::unique_ptr<PlanNode> join = PlanNode::Join(
+      std::move(prefix), Operand(rel, placed), std::move(step.atoms));
+  if (!options_.push_selections) return join;
+  // The σ over this join opens with the first conjunct that needs `rel` and
+  // another relation; from there on every conjunct this prefix covers
+  // merges into it, until one needs a relation still to come.
+  IdSet joined = placed;
+  joined.Insert(rel);
+  algebra::Predicate landing;
+  const std::size_t end = FirstAbove(joined);
+  for (std::size_t i = FirstAbove(placed); i < end; ++i) {
+    if (conjunct_relations_[i].IsSubsetOf(joined)) {
+      landing.And(spec_.where.conjuncts()[i]);
+    }
+  }
+  return SelectIfAny(std::move(join), std::move(landing));
+}
+
+Result<QueryPlan> LeftDeepBuilder::Complete(
+    std::unique_ptr<PlanNode> tree) const {
+  if (!options_.push_selections) {
+    tree = SelectIfAny(std::move(tree), spec_.where);
+  }
+  QueryPlan plan(ProjectSelectList(cat_, std::move(tree), spec_));
+  CISQP_RETURN_IF_ERROR(plan.Validate(cat_));
+  return plan;
+}
 
 Result<QueryPlan> PlanBuilder::Build(const QuerySpec& spec,
                                      const BuildOptions& options) const {
@@ -208,13 +326,15 @@ Result<QueryPlan> PlanBuilder::Build(const QuerySpec& spec,
     steps = std::move(ordered.second);
   }
 
-  // Left-deep join tree in the chosen order.
-  std::unique_ptr<PlanNode> root = PlanNode::Relation(first);
+  const LeftDeepBuilder left_deep(cat_, spec, options);
+  std::unique_ptr<PlanNode> root = left_deep.Start(first);
+  IdSet placed{first};
   for (JoinStep& step : steps) {
-    root = PlanNode::Join(std::move(root), PlanNode::Relation(step.relation),
-                          std::move(step.atoms));
+    const catalog::RelationId rel = step.relation;
+    root = left_deep.Extend(std::move(root), placed, std::move(step));
+    placed.Insert(rel);
   }
-  return Finish(std::move(root), spec, options);
+  return left_deep.Complete(std::move(root));
 }
 
 Result<QueryPlan> PlanBuilder::Finish(std::unique_ptr<PlanNode> root,
@@ -243,12 +363,8 @@ Result<QueryPlan> PlanBuilder::Finish(std::unique_ptr<PlanNode> root,
     for (catalog::AttributeId a : spec.select_list) required.Insert(a);
     root = Prune(cat_, std::move(root), required);
   }
-  if (spec.distinct || root->OutputAttributes(cat_) != spec.select_list) {
-    root = PlanNode::Project(std::move(root), spec.select_list);
-    root->distinct = spec.distinct;
-  }
 
-  QueryPlan plan(std::move(root));
+  QueryPlan plan(ProjectSelectList(cat_, std::move(root), spec));
   CISQP_RETURN_IF_ERROR(plan.Validate(cat_));
   return plan;
 }

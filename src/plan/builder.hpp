@@ -9,6 +9,9 @@
 // estimated intermediate cardinality.
 #pragma once
 
+#include <memory>
+#include <vector>
+
 #include "plan/plan_node.hpp"
 #include "plan/query_spec.hpp"
 #include "plan/stats.hpp"
@@ -26,6 +29,53 @@ struct BuildOptions {
   bool push_projections = true;
 };
 
+/// Left-deep construction one relation at a time (DESIGN.md §17). For a
+/// left-deep tree every choice `PlanBuilder::Finish` makes is local to a
+/// prefix: a leaf's pushed-down π keeps the attributes the query reads
+/// anywhere, and a WHERE conjunct lands at the lowest prefix covering its
+/// relations unless an earlier conjunct already put a σ above that prefix
+/// (Finish merges into the first σ it meets). The tree over a prefix
+/// therefore never depends on the relations joined after it, so
+/// `PlanBuilder::Build` is a fold of `Extend` and FeasiblePlanSearch can
+/// share one prefix among every join order that starts with it.
+class LeftDeepBuilder {
+ public:
+  /// `spec` supplies the select list, WHERE, DISTINCT and the join atoms;
+  /// it must outlive the builder. Its relation order is not used.
+  LeftDeepBuilder(const catalog::Catalog& cat, const QuerySpec& spec,
+                  const BuildOptions& options);
+
+  /// The tree over the single relation `first`.
+  std::unique_ptr<PlanNode> Start(catalog::RelationId first) const;
+
+  /// Joins `step.relation` (atoms oriented prefix → new) on the right of
+  /// `prefix`, the tree over `placed`. A null `prefix` leaves the join's
+  /// left child empty, for callers that evaluate the added nodes against a
+  /// prefix they already hold.
+  std::unique_ptr<PlanNode> Extend(std::unique_ptr<PlanNode> prefix,
+                                   const IdSet& placed, JoinStep step) const;
+
+  /// Closes the tree over every relation: the unpushed WHERE σ and the
+  /// final π; renumbers and validates.
+  Result<QueryPlan> Complete(std::unique_ptr<PlanNode> tree) const;
+
+ private:
+  /// Scan of `rel` under its pushed-down π and the σ of the conjuncts over
+  /// `rel` alone that reach it when it joins a prefix over `placed`.
+  std::unique_ptr<PlanNode> Operand(catalog::RelationId rel,
+                                    const IdSet& placed) const;
+  /// Index of the first conjunct over several relations not all in
+  /// `placed` (the conjunct count when none). It is the first to land
+  /// above the prefix over `placed`; every later conjunct merges there.
+  std::size_t FirstAbove(const IdSet& placed) const;
+
+  const catalog::Catalog& cat_;
+  const QuerySpec& spec_;
+  const BuildOptions options_;
+  IdSet required_;                       ///< attributes read above the leaves
+  std::vector<IdSet> conjunct_relations_;  ///< per WHERE conjunct
+};
+
 class PlanBuilder {
  public:
   explicit PlanBuilder(const catalog::Catalog& cat,
@@ -33,8 +83,9 @@ class PlanBuilder {
                        const StatsFeedback* feedback = nullptr)
       : cat_(cat), stats_(stats), feedback_(feedback) {}
 
-  /// Builds and validates a plan for `spec`. Fails when the spec is invalid
-  /// or (under kGreedyCost) when the join graph of the spec is disconnected.
+  /// Builds and validates a left-deep plan for `spec` by folding
+  /// LeftDeepBuilder::Extend over its join order. Fails when the spec is
+  /// invalid or (under kGreedyCost) when its join graph is disconnected.
   Result<QueryPlan> Build(const QuerySpec& spec,
                           const BuildOptions& options = {}) const;
 

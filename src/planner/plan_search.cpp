@@ -34,51 +34,88 @@ std::vector<Edge> CollectEdges(const catalog::Catalog& cat,
   return edges;
 }
 
-/// DFS over connected prefixes, emitting every complete order until the cap.
-/// Connectivity of a candidate is one probe of a precomputed relation →
-/// neighbor-relations adjacency map instead of a scan over every edge.
-class OrderEnumerator {
+/// Atoms joining `next` to a prefix over `placed`, oriented prefix → next,
+/// in edge order.
+std::vector<algebra::EquiJoinAtom> AtomsJoining(
+    catalog::RelationId next, const IdSet& placed,
+    const std::vector<Edge>& edges) {
+  std::vector<algebra::EquiJoinAtom> atoms;
+  for (const Edge& e : edges) {
+    if (e.rel_b == next && placed.Contains(e.rel_a)) {
+      atoms.push_back(algebra::EquiJoinAtom{e.a, e.b});
+    } else if (e.rel_a == next && placed.Contains(e.rel_b)) {
+      atoms.push_back(algebra::EquiJoinAtom{e.b, e.a});
+    }
+  }
+  return atoms;
+}
+
+/// The trie of connected left-deep join orders, walked depth first: a
+/// prefix's children are the relations joinable to it, in `relations`
+/// order, and its leaves are the complete orders in the order
+/// EnumerateOrders lists them. `enter(prefix, joined)` is called on every
+/// prefix before the walk descends into it, with `joined` the relations
+/// `prefix.back()` joins onto; a false return prunes the
+/// subtree, whose orders are still counted (as tried and as pruned) but
+/// never entered. The walk stops after `max_orders` orders, so the cap cuts
+/// the enumeration at the same order whether or not subtrees are pruned.
+class OrderTrie {
  public:
-  OrderEnumerator(const std::vector<catalog::RelationId>& relations,
-                  const std::vector<Edge>& edges, std::size_t max_orders)
+  /// A complete order that was entered, with its enumeration index.
+  struct Leaf {
+    std::size_t index;
+    std::vector<catalog::RelationId> order;
+  };
+
+  OrderTrie(const std::vector<catalog::RelationId>& relations,
+            const std::vector<Edge>& edges, std::size_t max_orders)
       : relations_(relations), max_orders_(max_orders) {
+    // Connectivity of a candidate is one probe of a precomputed relation →
+    // neighbor-relations adjacency map instead of a scan over every edge.
     for (const Edge& edge : edges) {
       adjacency_[edge.rel_a].Insert(edge.rel_b);
       adjacency_[edge.rel_b].Insert(edge.rel_a);
     }
   }
 
-  std::vector<std::vector<catalog::RelationId>> Run() {
+  template <typename Enter>
+  std::vector<Leaf> Walk(Enter&& enter) {
     for (catalog::RelationId start : relations_) {
-      prefix_ = {start};
-      placed_ = IdSet{start};
-      Extend();
-      if (orders_.size() >= max_orders_) break;
+      if (tried_ >= max_orders_) break;
+      Descend(start, enter, /*entering=*/true);
     }
-    return std::move(orders_);
+    return std::move(leaves_);
   }
 
+  std::size_t tried() const noexcept { return tried_; }
+  std::size_t pruned() const noexcept { return pruned_; }
+
  private:
-  void Extend() {
-    if (orders_.size() >= max_orders_) return;
+  template <typename Enter>
+  void Descend(catalog::RelationId next, Enter& enter, bool entering) {
+    prefix_.push_back(next);
+    if (entering) entering = enter(prefix_, placed_);
+    placed_.Insert(next);
     if (prefix_.size() == relations_.size()) {
-      orders_.push_back(prefix_);
-      return;
-    }
-    for (catalog::RelationId cand : relations_) {
-      if (placed_.Contains(cand)) continue;
-      const auto neighbors = adjacency_.find(cand);
-      if (neighbors == adjacency_.end() ||
-          !neighbors->second.Intersects(placed_)) {
-        continue;
+      if (entering) {
+        leaves_.push_back(Leaf{tried_, prefix_});
+      } else {
+        ++pruned_;
       }
-      prefix_.push_back(cand);
-      placed_.Insert(cand);
-      Extend();
-      placed_.Erase(cand);
-      prefix_.pop_back();
-      if (orders_.size() >= max_orders_) return;
+      ++tried_;
+    } else {
+      for (catalog::RelationId cand : relations_) {
+        if (tried_ >= max_orders_) break;
+        if (placed_.Contains(cand)) continue;
+        const auto neighbors = adjacency_.find(cand);
+        if (neighbors != adjacency_.end() &&
+            neighbors->second.Intersects(placed_)) {
+          Descend(cand, enter, entering);
+        }
+      }
     }
+    placed_.Erase(next);
+    prefix_.pop_back();
   }
 
   const std::vector<catalog::RelationId>& relations_;
@@ -86,13 +123,14 @@ class OrderEnumerator {
   std::map<catalog::RelationId, IdSet> adjacency_;
   std::vector<catalog::RelationId> prefix_;
   IdSet placed_;
-  std::vector<std::vector<catalog::RelationId>> orders_;
+  std::vector<Leaf> leaves_;
+  std::size_t tried_ = 0;
+  std::size_t pruned_ = 0;
 };
 
 /// Rebuilds `spec` with the relations in `order`, re-orienting every atom so
 /// the new relation's attribute sits on the right.
-plan::QuerySpec ReorderSpec(const catalog::Catalog& cat,
-                            const plan::QuerySpec& spec,
+plan::QuerySpec ReorderSpec(const plan::QuerySpec& spec,
                             const std::vector<catalog::RelationId>& order,
                             const std::vector<Edge>& edges) {
   plan::QuerySpec out;
@@ -102,20 +140,31 @@ plan::QuerySpec ReorderSpec(const catalog::Catalog& cat,
   IdSet placed{order.front()};
   for (std::size_t i = 1; i < order.size(); ++i) {
     const catalog::RelationId next = order[i];
-    plan::JoinStep step;
-    step.relation = next;
-    for (const Edge& e : edges) {
-      if (e.rel_b == next && placed.Contains(e.rel_a)) {
-        step.atoms.push_back(algebra::EquiJoinAtom{e.a, e.b});
-      } else if (e.rel_a == next && placed.Contains(e.rel_b)) {
-        step.atoms.push_back(algebra::EquiJoinAtom{e.b, e.a});
-      }
-    }
-    out.joins.push_back(std::move(step));
+    out.joins.push_back(
+        plan::JoinStep{next, AtomsJoining(next, placed, edges)});
     placed.Insert(next);
   }
-  (void)cat;
   return out;
+}
+
+/// Find_candidates over the nodes one LeftDeepBuilder step added: post-order,
+/// with the join's empty left child standing for the prefix whose state is
+/// `prefix`. Returns false as soon as a node has no candidate — where
+/// SafePlanner's traversal would stop.
+bool EvaluateAdded(CandidateFinder& finder, const plan::PlanNode& node,
+                   const NodeCandidates* prefix, NodeCandidates& out) {
+  NodeCandidates left;
+  NodeCandidates right;
+  const NodeCandidates* l = node.op == plan::PlanOp::kJoin ? prefix : nullptr;
+  if (node.left) {
+    if (!EvaluateAdded(finder, *node.left, prefix, left)) return false;
+    l = &left;
+  }
+  if (node.right && !EvaluateAdded(finder, *node.right, prefix, right)) {
+    return false;
+  }
+  out = finder.Find(node, l, node.right ? &right : nullptr);
+  return !out.candidates.empty();
 }
 
 }  // namespace
@@ -125,10 +174,13 @@ Result<std::vector<plan::QuerySpec>> FeasiblePlanSearch::EnumerateOrders(
   CISQP_RETURN_IF_ERROR(spec.Validate(cat_));
   const std::vector<catalog::RelationId> relations = spec.Relations();
   const std::vector<Edge> edges = CollectEdges(cat_, spec);
-  OrderEnumerator enumerator(relations, edges, max_orders);
+  OrderTrie trie(relations, edges, max_orders);
   std::vector<plan::QuerySpec> out;
-  for (const std::vector<catalog::RelationId>& order : enumerator.Run()) {
-    out.push_back(ReorderSpec(cat_, spec, order, edges));
+  const auto enter_all = [](const auto& /*prefix*/, const auto& /*joined*/) {
+    return true;
+  };
+  for (const OrderTrie::Leaf& leaf : trie.Walk(enter_all)) {
+    out.push_back(ReorderSpec(spec, leaf.order, edges));
   }
   if (out.empty()) {
     return InvalidArgumentError("query join graph admits no connected order");
@@ -139,15 +191,44 @@ Result<std::vector<plan::QuerySpec>> FeasiblePlanSearch::EnumerateOrders(
 Result<PlanSearchResult> FeasiblePlanSearch::Search(
     const plan::QuerySpec& spec, const PlanSearchOptions& options) const {
   CISQP_TRACE_SPAN(span, "planner.plan_search");
-  CISQP_ASSIGN_OR_RETURN(std::vector<plan::QuerySpec> orders,
-                         EnumerateOrders(spec, options.max_orders));
-  span.AddAttribute("orders_enumerated", orders.size());
+  CISQP_RETURN_IF_ERROR(spec.Validate(cat_));
+  const std::vector<catalog::RelationId> relations = spec.Relations();
+  const std::vector<Edge> edges = CollectEdges(cat_, spec);
 
   plan::BuildOptions build_options = options.build_options;
   build_options.join_order = plan::JoinOrderPolicy::kFromClause;
 
-  // Fan the orders out: each task builds, analyzes, and costs one order on
-  // its own builder/planner instances (all stateless over shared read-only
+  // Walk the order trie, running Find_candidates once per distinct prefix:
+  // the tree over a prefix, and so its state, does not depend on the
+  // relations joined after it (DESIGN.md §17). `states[k]` holds the state
+  // of the current prefix of k + 1 relations. A prefix with no candidate
+  // blocks every order below it, so only the complete orders that were
+  // entered survive to be built and analyzed.
+  const plan::LeftDeepBuilder left_deep(cat_, spec, build_options);
+  CandidateFinder finder(cat_, policy_, options.planner_options);
+  std::vector<NodeCandidates> states(relations.size());
+  OrderTrie trie(relations, edges, options.max_orders);
+  const std::vector<OrderTrie::Leaf> survivors =
+      trie.Walk([&](const std::vector<catalog::RelationId>& prefix,
+                    const IdSet& joined) {
+        const std::size_t depth = prefix.size() - 1;
+        const catalog::RelationId next = prefix.back();
+        if (depth == 0) {
+          return EvaluateAdded(finder, *left_deep.Start(next), nullptr,
+                               states[0]);
+        }
+        const std::unique_ptr<plan::PlanNode> added = left_deep.Extend(
+            nullptr, joined,
+            plan::JoinStep{next, AtomsJoining(next, joined, edges)});
+        return EvaluateAdded(finder, *added, &states[depth - 1], states[depth]);
+      });
+  const std::size_t tried = trie.tried();
+  if (tried == 0) {
+    return InvalidArgumentError("query join graph admits no connected order");
+  }
+
+  // Fan the survivors out: each task builds, analyzes, and costs one order
+  // on its own builder/planner instances (all stateless over shared read-only
   // catalog/policy/stats), then folds into the running minimum under a
   // mutex. The fold is commutative and tie-breaks on the lowest order
   // index, so the outcome is identical to the sequential left-to-right scan
@@ -167,9 +248,10 @@ Result<PlanSearchResult> FeasiblePlanSearch::Search(
   const std::size_t threads =
       options.threads == 0 ? ThreadPool::HardwareConcurrency() : options.threads;
   span.AddAttribute("threads", threads);
-  {
-    ThreadPool pool(std::min(threads, orders.size()));
-    pool.ParallelFor(orders.size(), [&](std::size_t i) {
+  if (!survivors.empty()) {
+    ThreadPool pool(std::min(threads, survivors.size()));
+    pool.ParallelFor(survivors.size(), [&](std::size_t k) {
+      const std::size_t i = survivors[k].index;
       // Explicitly parent the per-order span to the search root: pool
       // workers have empty thread-local span stacks, so without this every
       // worker would start a disjoint root lane in the Chrome export.
@@ -178,7 +260,8 @@ Result<PlanSearchResult> FeasiblePlanSearch::Search(
       plan::PlanBuilder builder(cat_, stats_, feedback_);
       SafePlanner planner(cat_, policy_, options.planner_options);
       MinCostSafePlanner cost_scorer(cat_, policy_, stats_, {}, feedback_);
-      auto built = builder.Build(orders[i], build_options);
+      auto built = builder.Build(ReorderSpec(spec, survivors[k].order, edges),
+                                 build_options);
       if (!built.ok()) return;  // tried, but this order is not buildable
       auto report = planner.Analyze(*built);
       if (!report.ok()) {
@@ -205,11 +288,12 @@ Result<PlanSearchResult> FeasiblePlanSearch::Search(
   }
   if (error) return error->second;
 
-  const std::size_t tried = orders.size();
   CISQP_METRIC_ADD("plan_search.orders_tried", tried);
   CISQP_METRIC_ADD("plan_search.orders_feasible", feasible);
+  CISQP_METRIC_ADD("plan_search.orders_pruned", trie.pruned());
   span.AddAttribute("orders_tried", tried);
   span.AddAttribute("orders_feasible", feasible);
+  span.AddAttribute("orders_pruned", trie.pruned());
   if (!best) {
     return InfeasibleError("no examined join order admits a safe assignment (" +
                            std::to_string(tried) + " orders tried)");
@@ -220,6 +304,7 @@ Result<PlanSearchResult> FeasiblePlanSearch::Search(
   result.estimated_bytes = best->bytes;
   result.orders_tried = tried;
   result.orders_feasible = feasible;
+  result.orders_pruned = trie.pruned();
   return result;
 }
 

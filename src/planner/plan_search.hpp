@@ -15,13 +15,22 @@
 // of queries whose FROM-order plan is infeasible but that this search still
 // executes safely.
 //
-// The per-order work — build the reordered plan, run the paper's algorithm,
-// cost the assignment — is embarrassingly independent, so `Search` fans the
-// enumerated orders out across a ThreadPool (each task on its own builder
-// and planner instances) and reduces to the min-cost feasible plan with a
-// deterministic tie-break: among equal-cost plans the lowest order index
-// wins, so parallel and sequential searches return byte-identical results
-// (DESIGN.md §9).
+// Orders share prefixes, and the tree over a left-deep prefix does not
+// depend on the relations joined after it, so `Search` walks the trie of
+// orders and runs the paper's Find_candidates once per distinct prefix
+// (DESIGN.md §17): one LeftDeepBuilder step and the new nodes' states on
+// top of the parent prefix's state, with no diagnostics recorded. A prefix
+// with no candidate blocks every order below it; those orders count as
+// tried (and toward `max_orders`) and as pruned, but are never built.
+//
+// Only the surviving complete orders take the full path — build the
+// reordered plan, run SafePlanner (requestor check, assignment, trace),
+// cost the assignment — fanned out across a ThreadPool (each task on its
+// own builder and planner instances) and reduced to the min-cost feasible
+// plan with a deterministic tie-break: among equal-cost plans the lowest
+// order index wins, so parallel and sequential searches return
+// byte-identical results (DESIGN.md §9), and the result equals building
+// and analyzing every enumerated order.
 #pragma once
 
 #include <memory>
@@ -36,7 +45,7 @@ namespace cisqp::planner {
 struct PlanSearchOptions {
   /// Cap on join orders examined (the order space is factorial).
   std::size_t max_orders = 2000;
-  /// Parallelism for the per-order build/analyze/cost evaluations: 0 means
+  /// Parallelism for the surviving orders' build/analyze/cost runs: 0 means
   /// hardware concurrency, 1 runs strictly on the calling thread. The
   /// chosen plan, its cost, and the reported counts are byte-identical at
   /// every setting (per-order evaluations are independent and the reduction
@@ -55,6 +64,8 @@ struct PlanSearchResult {
   double estimated_bytes = 0; ///< heuristic assignment cost, shared model
   std::size_t orders_tried = 0;
   std::size_t orders_feasible = 0;
+  /// Orders below a prefix with no candidate: tried but never built.
+  std::size_t orders_pruned = 0;
 };
 
 /// A cacheable, immutable handle to a finished search: the serving layer's

@@ -10,15 +10,6 @@
 namespace cisqp::planner {
 namespace {
 
-/// Mutable per-node working state of one planning run.
-struct NodeState {
-  authz::Profile profile;
-  std::vector<Candidate> candidates;  ///< sorted by count desc, stable
-  std::optional<Candidate> leftslave;
-  std::optional<Candidate> rightslave;
-  std::vector<CandidateRejection> rejections;  ///< failed probes (diagnostics)
-};
-
 /// Keeps candidate lists in the order the paper's GetFirst expects:
 /// decreasing join counter; stable for ties so right-child candidates (added
 /// first at a join, per the Fig. 6 case order) precede left-child ones.
@@ -33,10 +24,8 @@ class PlannerRun {
  public:
   PlannerRun(const catalog::Catalog& cat, const authz::Policy& auths,
              const SafePlannerOptions& options, const plan::QueryPlan& plan)
-      : cat_(cat), auths_(auths), options_(options), plan_(plan),
-        states_(static_cast<std::size_t>(plan.node_count())),
-        planted_skip_right_check_(
-            std::getenv("CISQP_FUZZ_PLANT_SKIP_RIGHT_CHECK") != nullptr) {}
+      : options_(options), plan_(plan), finder_(cat, auths, options),
+        states_(static_cast<std::size_t>(plan.node_count())) {}
 
   Result<PlanningReport> Run() {
     CISQP_TRACE_SPAN(span, "planner.safe_plan");
@@ -46,9 +35,8 @@ class PlannerRun {
     if (!FindCandidates(*plan_.root())) {
       report.feasible = false;
       report.blocking_node = blocking_node_;
-      report.can_view_calls = can_view_calls_;
-      report.blocking_rejections =
-          states_[static_cast<std::size_t>(blocking_node_)].rejections;
+      report.can_view_calls = finder_.can_view_calls();
+      report.blocking_rejections = std::move(blocking_rejections_);
       CISQP_METRIC_INC("planner.infeasible");
       span.AddAttribute("feasible", false);
       span.AddAttribute("blocking_node", blocking_node_);
@@ -64,12 +52,12 @@ class PlannerRun {
     if (options_.requestor) {
       const catalog::ServerId root_master = assignment.Of(plan_.root()->id).master;
       if (*options_.requestor != root_master &&
-          !CanView(State(*plan_.root()).profile, *options_.requestor,
-                   plan_.root()->id, "requestor",
-                   obs::AuditSite::kRequestor)) {
+          !finder_.CanView(State(*plan_.root()).profile, *options_.requestor,
+                           plan_.root()->id, "requestor",
+                           obs::AuditSite::kRequestor)) {
         report.feasible = false;
         report.blocking_node = plan_.root()->id;
-        report.can_view_calls = can_view_calls_;
+        report.can_view_calls = finder_.can_view_calls();
         report.blocking_rejections.push_back(CandidateRejection{
             *options_.requestor, FromChild::kSelf, ExecutionMode::kLocal,
             "requestor", State(*plan_.root()).profile});
@@ -80,35 +68,20 @@ class PlannerRun {
     SafePlan safe;
     safe.assignment = std::move(assignment);
     safe.profiles.reserve(states_.size());
-    for (const NodeState& state : states_) safe.profiles.push_back(state.profile);
+    for (const NodeCandidates& state : states_) {
+      safe.profiles.push_back(state.profile);
+    }
     safe.trace = std::move(trace_);
     report.feasible = true;
     report.plan = std::move(safe);
-    report.can_view_calls = can_view_calls_;
-    span.AddAttribute("can_view_calls", can_view_calls_);
+    report.can_view_calls = finder_.can_view_calls();
+    span.AddAttribute("can_view_calls", finder_.can_view_calls());
     return report;
   }
 
  private:
-  NodeState& State(const plan::PlanNode& node) {
+  NodeCandidates& State(const plan::PlanNode& node) {
     return states_[static_cast<std::size_t>(node.id)];
-  }
-
-  bool CanView(const authz::Profile& profile, catalog::ServerId server,
-               int node_id, const char* role,
-               std::optional<obs::AuditSite> site = std::nullopt) {
-    ++can_view_calls_;
-    CISQP_METRIC_INC("planner.canview_probes");
-    return authz::AuditedCanView(cat_, auths_, profile, server,
-                                 site.value_or(options_.audit_site), node_id,
-                                 role);
-  }
-
-  /// True iff failover excluded `server` from this run (treated as gone).
-  bool Excluded(catalog::ServerId server) const {
-    return std::find(options_.excluded_servers.begin(),
-                     options_.excluded_servers.end(),
-                     server) != options_.excluded_servers.end();
   }
 
   /// Post-order traversal; returns false when some node has no candidate
@@ -117,184 +90,28 @@ class PlannerRun {
     if (node.left && !FindCandidates(*node.left)) return false;
     if (node.right && !FindCandidates(*node.right)) return false;
 
-    NodeState& state = State(node);
-    switch (node.op) {
-      case plan::PlanOp::kRelation: {
-        state.profile = authz::Profile::OfBaseRelation(cat_, node.relation);
-        const catalog::ServerId home = cat_.relation(node.relation).server;
-        if (Excluded(home)) {
-          // The relation's only holder is gone; no candidate can exist.
-          state.rejections.push_back(CandidateRejection{
-              home, FromChild::kSelf, ExecutionMode::kLocal,
-              "home server excluded (down)", state.profile});
-        } else {
-          state.candidates.push_back(
-              Candidate{home, FromChild::kSelf, 0, ExecutionMode::kLocal,
-                        std::nullopt});
-        }
-        break;
-      }
-      case plan::PlanOp::kProject: {
-        const NodeState& child = State(*node.left);
-        IdSet x;
-        for (catalog::AttributeId a : node.projection) x.Insert(a);
-        state.profile = authz::Profile::Project(child.profile, std::move(x));
-        for (const Candidate& c : child.candidates) {
-          state.candidates.push_back(
-              Candidate{c.server, FromChild::kLeft, c.count,
-                        ExecutionMode::kLocal, std::nullopt});
-        }
-        break;
-      }
-      case plan::PlanOp::kSelect: {
-        const NodeState& child = State(*node.left);
-        state.profile = authz::Profile::Select(
-            child.profile, node.predicate.ReferencedAttributes());
-        for (const Candidate& c : child.candidates) {
-          state.candidates.push_back(
-              Candidate{c.server, FromChild::kLeft, c.count,
-                        ExecutionMode::kLocal, std::nullopt});
-        }
-        break;
-      }
-      case plan::PlanOp::kJoin:
-        FindJoinCandidates(node, state);
-        break;
-    }
-
-    SortCandidates(state.candidates);
+    std::vector<CandidateRejection> rejections;
+    NodeCandidates& state = State(node) = finder_.Find(
+        node, node.left ? &State(*node.left) : nullptr,
+        node.right ? &State(*node.right) : nullptr, &rejections);
     CISQP_METRIC_ADD("planner.candidates", state.candidates.size());
-    CISQP_METRIC_ADD("planner.rejections", state.rejections.size());
+    CISQP_METRIC_ADD("planner.rejections", rejections.size());
     trace_.find_candidates.push_back(NodeTrace{
         node.id, state.profile, state.candidates,
         state.leftslave ? std::optional(state.leftslave->server) : std::nullopt,
         state.rightslave ? std::optional(state.rightslave->server) : std::nullopt});
     if (state.candidates.empty()) {
       blocking_node_ = node.id;
+      blocking_rejections_ = std::move(rejections);
       return false;
     }
     return true;
   }
 
-  void FindJoinCandidates(const plan::PlanNode& node, NodeState& state) {
-    NodeState& l = State(*node.left);
-    NodeState& r = State(*node.right);
-    const JoinModeViews views =
-        ComputeJoinModeViews(l.profile, r.profile, node.join_atoms);
-    state.profile = authz::Profile::Join(l.profile, r.profile, views.condition);
-
-    // CanView probe that records failed attempts for diagnostics.
-    const auto probe = [&](const authz::Profile& view, catalog::ServerId server,
-                           FromChild from, ExecutionMode mode,
-                           const char* role) {
-      if (CanView(view, server, node.id, role)) return true;
-      state.rejections.push_back(CandidateRejection{server, from, mode, role, view});
-      return false;
-    };
-
-    // Case [S_r, NULL] and [S_r, S_l]: a master from the right child, with
-    // the left operand either shipped whole or reduced through a left slave.
-    // The slave search scans left-child candidates in decreasing counter
-    // order and keeps the first two distinct hits: one slave suffices since
-    // slaves are never propagated upward (paper §5), except that Def. 4.1
-    // requires master ≠ slave — when a master candidate coincides with the
-    // primary slave, the runner-up slave restores completeness
-    // (DESIGN.md §2.2).
-    std::optional<Candidate> leftslave2;
-    for (const Candidate& c : l.candidates) {
-      if (!probe(views.left_slave_view, c.server, FromChild::kLeft,
-                 ExecutionMode::kSemiJoin, "slave")) {
-        continue;
-      }
-      if (!state.leftslave) {
-        state.leftslave = c;
-      } else if (c.server != state.leftslave->server) {
-        leftslave2 = c;
-        break;
-      }
-    }
-    const auto slave_for = [](const std::optional<Candidate>& primary,
-                              const std::optional<Candidate>& secondary,
-                              catalog::ServerId master)
-        -> std::optional<catalog::ServerId> {
-      if (primary && primary->server != master) return primary->server;
-      if (secondary && secondary->server != master) return secondary->server;
-      return std::nullopt;
-    };
-    for (const Candidate& c : r.candidates) {
-      const std::optional<catalog::ServerId> slave =
-          slave_for(state.leftslave, leftslave2, c.server);
-      if (slave && probe(views.right_master_view, c.server, FromChild::kRight,
-                         ExecutionMode::kSemiJoin, "master")) {
-        state.candidates.push_back(Candidate{c.server, FromChild::kRight,
-                                             c.count + 1, ExecutionMode::kSemiJoin,
-                                             slave});
-      } else if (planted_skip_right_check_ ||
-                 probe(views.right_full_view, c.server, FromChild::kRight,
-                       ExecutionMode::kRegularJoin, "master")) {
-        // planted_skip_right_check_ is the differential harness's seeded
-        // fault (DESIGN.md §11.4): with CISQP_FUZZ_PLANT_SKIP_RIGHT_CHECK
-        // set, a right-child master is admitted without the Def. 3.3 probe
-        // on its regular-join view. The fuzz tests assert this gets caught
-        // and minimized; it must never be set outside those tests.
-        state.candidates.push_back(Candidate{c.server, FromChild::kRight,
-                                             c.count + 1,
-                                             ExecutionMode::kRegularJoin,
-                                             std::nullopt});
-      }
-    }
-
-    // Symmetric case [S_l, NULL] and [S_l, S_r].
-    std::optional<Candidate> rightslave2;
-    for (const Candidate& c : r.candidates) {
-      if (!probe(views.right_slave_view, c.server, FromChild::kRight,
-                 ExecutionMode::kSemiJoin, "slave")) {
-        continue;
-      }
-      if (!state.rightslave) {
-        state.rightslave = c;
-      } else if (c.server != state.rightslave->server) {
-        rightslave2 = c;
-        break;
-      }
-    }
-    for (const Candidate& c : l.candidates) {
-      const std::optional<catalog::ServerId> slave =
-          slave_for(state.rightslave, rightslave2, c.server);
-      if (slave && probe(views.left_master_view, c.server, FromChild::kLeft,
-                         ExecutionMode::kSemiJoin, "master")) {
-        state.candidates.push_back(Candidate{c.server, FromChild::kLeft,
-                                             c.count + 1, ExecutionMode::kSemiJoin,
-                                             slave});
-      } else if (probe(views.left_full_view, c.server, FromChild::kLeft,
-                       ExecutionMode::kRegularJoin, "master")) {
-        state.candidates.push_back(Candidate{c.server, FromChild::kLeft,
-                                             c.count + 1,
-                                             ExecutionMode::kRegularJoin,
-                                             std::nullopt});
-      }
-    }
-
-    // Footnote-3 extension: a third party that may view both operands in
-    // full can execute the join as a proxy master.
-    if (state.candidates.empty() && options_.allow_third_party) {
-      for (catalog::ServerId t = 0; t < cat_.server_count(); ++t) {
-        if (Excluded(t)) continue;
-        if (probe(views.right_full_view, t, FromChild::kThird,
-                  ExecutionMode::kRegularJoin, "proxy") &&
-            probe(views.left_full_view, t, FromChild::kThird,
-                  ExecutionMode::kRegularJoin, "proxy")) {
-          state.candidates.push_back(Candidate{
-              t, FromChild::kThird, 1, ExecutionMode::kRegularJoin, std::nullopt});
-        }
-      }
-    }
-  }
-
   void AssignEx(const plan::PlanNode& node,
                 std::optional<catalog::ServerId> from_parent,
                 Assignment& assignment) {
-    NodeState& state = State(node);
+    const NodeCandidates& state = State(node);
     const Candidate* chosen = nullptr;
     if (from_parent) {
       for (const Candidate& c : state.candidates) {
@@ -349,19 +166,209 @@ class PlannerRun {
     if (node.right) AssignEx(*node.right, to_right, assignment);
   }
 
-  const catalog::Catalog& cat_;
-  const authz::Policy& auths_;
   const SafePlannerOptions& options_;
   const plan::QueryPlan& plan_;
-  std::vector<NodeState> states_;
+  CandidateFinder finder_;
+  std::vector<NodeCandidates> states_;
   PlanningTrace trace_;
-  std::size_t can_view_calls_ = 0;
   int blocking_node_ = -1;
-  /// Seeded fault for the differential harness; see FindJoinCandidates.
-  const bool planted_skip_right_check_;
+  std::vector<CandidateRejection> blocking_rejections_;
 };
 
 }  // namespace
+
+CandidateFinder::CandidateFinder(const catalog::Catalog& cat,
+                                 const authz::Policy& auths,
+                                 const SafePlannerOptions& options)
+    : cat_(cat), auths_(auths), options_(options),
+      planted_skip_right_check_(
+          std::getenv("CISQP_FUZZ_PLANT_SKIP_RIGHT_CHECK") != nullptr) {}
+
+bool CandidateFinder::CanView(const authz::Profile& profile,
+                              catalog::ServerId server, int node_id,
+                              const char* role,
+                              std::optional<obs::AuditSite> site) {
+  ++can_view_calls_;
+  CISQP_METRIC_INC("planner.canview_probes");
+  return authz::AuditedCanView(cat_, auths_, profile, server,
+                               site.value_or(options_.audit_site), node_id,
+                               role);
+}
+
+bool CandidateFinder::Excluded(catalog::ServerId server) const {
+  return std::find(options_.excluded_servers.begin(),
+                   options_.excluded_servers.end(),
+                   server) != options_.excluded_servers.end();
+}
+
+NodeCandidates CandidateFinder::Find(
+    const plan::PlanNode& node, const NodeCandidates* left,
+    const NodeCandidates* right, std::vector<CandidateRejection>* rejections) {
+  NodeCandidates state;
+  switch (node.op) {
+    case plan::PlanOp::kRelation: {
+      state.profile = authz::Profile::OfBaseRelation(cat_, node.relation);
+      const catalog::ServerId home = cat_.relation(node.relation).server;
+      if (Excluded(home)) {
+        // The relation's only holder is gone; no candidate can exist.
+        if (rejections != nullptr) {
+          rejections->push_back(CandidateRejection{
+              home, FromChild::kSelf, ExecutionMode::kLocal,
+              "home server excluded (down)", state.profile});
+        }
+      } else {
+        state.candidates.push_back(
+            Candidate{home, FromChild::kSelf, 0, ExecutionMode::kLocal,
+                      std::nullopt});
+      }
+      break;
+    }
+    case plan::PlanOp::kProject: {
+      IdSet x;
+      for (catalog::AttributeId a : node.projection) x.Insert(a);
+      state.profile = authz::Profile::Project(left->profile, std::move(x));
+      for (const Candidate& c : left->candidates) {
+        state.candidates.push_back(
+            Candidate{c.server, FromChild::kLeft, c.count,
+                      ExecutionMode::kLocal, std::nullopt});
+      }
+      break;
+    }
+    case plan::PlanOp::kSelect: {
+      state.profile = authz::Profile::Select(
+          left->profile, node.predicate.ReferencedAttributes());
+      for (const Candidate& c : left->candidates) {
+        state.candidates.push_back(
+            Candidate{c.server, FromChild::kLeft, c.count,
+                      ExecutionMode::kLocal, std::nullopt});
+      }
+      break;
+    }
+    case plan::PlanOp::kJoin:
+      FindJoinCandidates(node, *left, *right, state, rejections);
+      break;
+  }
+  SortCandidates(state.candidates);
+  return state;
+}
+
+void CandidateFinder::FindJoinCandidates(
+    const plan::PlanNode& node, const NodeCandidates& l,
+    const NodeCandidates& r, NodeCandidates& state,
+    std::vector<CandidateRejection>* rejections) {
+  const JoinModeViews views =
+      ComputeJoinModeViews(l.profile, r.profile, node.join_atoms);
+  state.profile = authz::Profile::Join(l.profile, r.profile, views.condition);
+
+  // CanView probe that records failed attempts when diagnostics are on.
+  const auto probe = [&](const authz::Profile& view, catalog::ServerId server,
+                         FromChild from, ExecutionMode mode,
+                         const char* role) {
+    if (CanView(view, server, node.id, role)) return true;
+    if (rejections != nullptr) {
+      rejections->push_back(CandidateRejection{server, from, mode, role, view});
+    }
+    return false;
+  };
+
+  // Case [S_r, NULL] and [S_r, S_l]: a master from the right child, with
+  // the left operand either shipped whole or reduced through a left slave.
+  // The slave search scans left-child candidates in decreasing counter
+  // order and keeps the first two distinct hits: one slave suffices since
+  // slaves are never propagated upward (paper §5), except that Def. 4.1
+  // requires master ≠ slave — when a master candidate coincides with the
+  // primary slave, the runner-up slave restores completeness
+  // (DESIGN.md §2.2).
+  std::optional<Candidate> leftslave2;
+  for (const Candidate& c : l.candidates) {
+    if (!probe(views.left_slave_view, c.server, FromChild::kLeft,
+               ExecutionMode::kSemiJoin, "slave")) {
+      continue;
+    }
+    if (!state.leftslave) {
+      state.leftslave = c;
+    } else if (c.server != state.leftslave->server) {
+      leftslave2 = c;
+      break;
+    }
+  }
+  const auto slave_for = [](const std::optional<Candidate>& primary,
+                            const std::optional<Candidate>& secondary,
+                            catalog::ServerId master)
+      -> std::optional<catalog::ServerId> {
+    if (primary && primary->server != master) return primary->server;
+    if (secondary && secondary->server != master) return secondary->server;
+    return std::nullopt;
+  };
+  for (const Candidate& c : r.candidates) {
+    const std::optional<catalog::ServerId> slave =
+        slave_for(state.leftslave, leftslave2, c.server);
+    if (slave && probe(views.right_master_view, c.server, FromChild::kRight,
+                       ExecutionMode::kSemiJoin, "master")) {
+      state.candidates.push_back(Candidate{c.server, FromChild::kRight,
+                                           c.count + 1, ExecutionMode::kSemiJoin,
+                                           slave});
+    } else if (planted_skip_right_check_ ||
+               probe(views.right_full_view, c.server, FromChild::kRight,
+                     ExecutionMode::kRegularJoin, "master")) {
+      // planted_skip_right_check_ is the differential harness's seeded
+      // fault (DESIGN.md §11.4): with CISQP_FUZZ_PLANT_SKIP_RIGHT_CHECK
+      // set, a right-child master is admitted without the Def. 3.3 probe
+      // on its regular-join view. The fuzz tests assert this gets caught
+      // and minimized; it must never be set outside those tests.
+      state.candidates.push_back(Candidate{c.server, FromChild::kRight,
+                                           c.count + 1,
+                                           ExecutionMode::kRegularJoin,
+                                           std::nullopt});
+    }
+  }
+
+  // Symmetric case [S_l, NULL] and [S_l, S_r].
+  std::optional<Candidate> rightslave2;
+  for (const Candidate& c : r.candidates) {
+    if (!probe(views.right_slave_view, c.server, FromChild::kRight,
+               ExecutionMode::kSemiJoin, "slave")) {
+      continue;
+    }
+    if (!state.rightslave) {
+      state.rightslave = c;
+    } else if (c.server != state.rightslave->server) {
+      rightslave2 = c;
+      break;
+    }
+  }
+  for (const Candidate& c : l.candidates) {
+    const std::optional<catalog::ServerId> slave =
+        slave_for(state.rightslave, rightslave2, c.server);
+    if (slave && probe(views.left_master_view, c.server, FromChild::kLeft,
+                       ExecutionMode::kSemiJoin, "master")) {
+      state.candidates.push_back(Candidate{c.server, FromChild::kLeft,
+                                           c.count + 1, ExecutionMode::kSemiJoin,
+                                           slave});
+    } else if (probe(views.left_full_view, c.server, FromChild::kLeft,
+                     ExecutionMode::kRegularJoin, "master")) {
+      state.candidates.push_back(Candidate{c.server, FromChild::kLeft,
+                                           c.count + 1,
+                                           ExecutionMode::kRegularJoin,
+                                           std::nullopt});
+    }
+  }
+
+  // Footnote-3 extension: a third party that may view both operands in
+  // full can execute the join as a proxy master.
+  if (state.candidates.empty() && options_.allow_third_party) {
+    for (catalog::ServerId t = 0; t < cat_.server_count(); ++t) {
+      if (Excluded(t)) continue;
+      if (probe(views.right_full_view, t, FromChild::kThird,
+                ExecutionMode::kRegularJoin, "proxy") &&
+          probe(views.left_full_view, t, FromChild::kThird,
+                ExecutionMode::kRegularJoin, "proxy")) {
+        state.candidates.push_back(Candidate{
+            t, FromChild::kThird, 1, ExecutionMode::kRegularJoin, std::nullopt});
+      }
+    }
+  }
+}
 
 Result<PlanningReport> SafePlanner::Analyze(const plan::QueryPlan& plan) const {
   if (plan.empty()) return InvalidArgumentError("cannot plan an empty query tree");

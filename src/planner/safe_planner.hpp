@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "authz/authorization.hpp"
+#include "authz/policy.hpp"
 #include "obs/audit.hpp"
 #include "planner/assignment.hpp"
 #include "planner/mode_views.hpp"
@@ -68,6 +69,53 @@ struct PlanningReport {
   /// When infeasible: every failed CanView probe at the blocking node,
   /// naming the server, the attempted role, and the denied view profile.
   std::vector<CandidateRejection> blocking_rejections;
+};
+
+/// Find_candidates state of one node: its profile (Fig. 4), its candidate
+/// list, and for a join the slaves the two symmetric cases resolved.
+struct NodeCandidates {
+  authz::Profile profile;
+  std::vector<Candidate> candidates;  ///< sorted by count desc, stable
+  std::optional<Candidate> leftslave;
+  std::optional<Candidate> rightslave;
+};
+
+/// The per-node step of Find_candidates: one node's state from its
+/// children's. SafePlanner's post-order traversal takes it at every node;
+/// FeasiblePlanSearch takes it once per join-order prefix (DESIGN.md §17).
+/// Not thread-safe: one finder per traversal.
+class CandidateFinder {
+ public:
+  CandidateFinder(const catalog::Catalog& cat, const authz::Policy& auths,
+                  const SafePlannerOptions& options);
+
+  /// `left` / `right` are the children's states, null where `node` has no
+  /// such child. Every failed CanView probe is appended to `rejections`
+  /// when it is non-null.
+  NodeCandidates Find(const plan::PlanNode& node, const NodeCandidates* left,
+                      const NodeCandidates* right,
+                      std::vector<CandidateRejection>* rejections = nullptr);
+
+  /// Audited CanView probe of `node_id`, at `site` or the options' site.
+  bool CanView(const authz::Profile& profile, catalog::ServerId server,
+               int node_id, const char* role,
+               std::optional<obs::AuditSite> site = std::nullopt);
+
+  std::size_t can_view_calls() const noexcept { return can_view_calls_; }
+
+ private:
+  /// True iff failover excluded `server` from this run (treated as gone).
+  bool Excluded(catalog::ServerId server) const;
+  void FindJoinCandidates(const plan::PlanNode& node, const NodeCandidates& l,
+                          const NodeCandidates& r, NodeCandidates& state,
+                          std::vector<CandidateRejection>* rejections);
+
+  const catalog::Catalog& cat_;
+  const authz::Policy& auths_;
+  const SafePlannerOptions& options_;
+  std::size_t can_view_calls_ = 0;
+  /// Seeded fault for the differential harness; see FindJoinCandidates.
+  const bool planted_skip_right_check_;
 };
 
 class SafePlanner {

@@ -26,6 +26,44 @@ bool CostWithinTolerance(double oracle_min, double production) {
   return oracle_min <= production * (1.0 + 1e-9) + 1e-6;
 }
 
+/// What first differs between the production search and the per-order
+/// reference; empty when they agree on the status or on plan, assignment,
+/// trace, cost and both counters.
+std::string SearchDifference(const catalog::Catalog& cat,
+                             const Result<planner::PlanSearchResult>& got,
+                             const Result<planner::PlanSearchResult>& want) {
+  const auto verdict = [](const Result<planner::PlanSearchResult>& r) {
+    return r.ok() ? std::string("a plan") : r.status().ToString();
+  };
+  if (got.ok() != want.ok() ||
+      (!got.ok() && got.status().ToString() != want.status().ToString())) {
+    return "search returned " + verdict(got) + ", per-order reference " +
+           verdict(want);
+  }
+  if (!got.ok()) return "";
+  if (got->plan.ToString(cat) != want->plan.ToString(cat)) {
+    return "chosen plans differ";
+  }
+  if (!(got->safe_plan.assignment == want->safe_plan.assignment)) {
+    return "assignments differ";
+  }
+  if (got->safe_plan.trace.ToString(cat) !=
+      want->safe_plan.trace.ToString(cat)) {
+    return "planning traces differ";
+  }
+  if (got->estimated_bytes != want->estimated_bytes ||
+      got->orders_tried != want->orders_tried ||
+      got->orders_feasible != want->orders_feasible) {
+    std::ostringstream oss;
+    oss << "search (bytes, tried, feasible) = (" << got->estimated_bytes << ", "
+        << got->orders_tried << ", " << got->orders_feasible
+        << "), per-order reference (" << want->estimated_bytes << ", "
+        << want->orders_tried << ", " << want->orders_feasible << ")";
+    return oss.str();
+  }
+  return "";
+}
+
 std::int64_t Timed(std::int64_t& acc, const std::function<void()>& fn) {
   const auto start = std::chrono::steady_clock::now();
   fn();
@@ -106,6 +144,7 @@ std::string_view MismatchKindName(MismatchKind kind) noexcept {
   switch (kind) {
     case MismatchKind::kChaseClosure: return "chase-closure";
     case MismatchKind::kFeasibility: return "feasibility";
+    case MismatchKind::kSearchDivergence: return "search-divergence";
     case MismatchKind::kCost: return "cost";
     case MismatchKind::kUnsafePlan: return "unsafe-plan";
     case MismatchKind::kThreadDivergence: return "thread-divergence";
@@ -210,6 +249,17 @@ Result<CheckReport> CheckScenario(const Scenario& s,
       fail(MismatchKind::kPipelineError,
            std::string(arm.label) + " search: " + produced.status().ToString());
       continue;
+    }
+
+    Result<planner::PlanSearchResult> per_order = InternalError("unset");
+    Timed(report.oracle_us, [&] {
+      per_order = PerOrderPlanSearch(cat, *arm.policy, s.query, &stats,
+                                     search_options);
+    });
+    if (const std::string diff = SearchDifference(cat, produced, per_order);
+        !diff.empty()) {
+      fail(MismatchKind::kSearchDivergence,
+           std::string(arm.label) + ": " + diff);
     }
 
     PlanOracleOptions oracle_options;

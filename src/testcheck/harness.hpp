@@ -12,6 +12,10 @@
 //              on feasibility, pre- and post-chase, and the exhaustive
 //              minimum cost never exceeds the chosen plan's cost (the greedy
 //              heuristic cannot beat the true optimum under one cost model);
+//   search     the prefix-pruned search returns exactly what building and
+//              analyzing every enumerated order returns (PerOrderPlanSearch):
+//              the same plan, assignment, trace, cost and counters, or the
+//              same kInfeasible status;
 //   safety     the chosen assignment survives the independent release-based
 //              verifier, and a successful execution leaves zero denied
 //              executor/requestor audit entries;
@@ -51,6 +55,7 @@ namespace cisqp::testcheck {
 enum class MismatchKind : std::uint8_t {
   kChaseClosure,     ///< production closure != naïve fixpoint
   kFeasibility,      ///< search and exhaustive enumerator disagree
+  kSearchDivergence, ///< prefix-pruned search != per-order reference search
   kCost,             ///< exhaustive minimum exceeds the chosen plan's cost
   kUnsafePlan,       ///< chosen assignment fails the release verifier
   kThreadDivergence, ///< threads=1 and threads=N results differ

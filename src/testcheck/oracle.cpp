@@ -1,13 +1,13 @@
 #include "testcheck/oracle.hpp"
 
 #include <map>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "plan/builder.hpp"
 #include "planner/cost_planner.hpp"
 #include "planner/exhaustive.hpp"
-#include "planner/plan_search.hpp"
 
 namespace cisqp::testcheck {
 
@@ -108,6 +108,46 @@ Result<PlanOracleResult> ExhaustivePlanOracle(const catalog::Catalog& cat,
     }
   }
   return out;
+}
+
+Result<planner::PlanSearchResult> PerOrderPlanSearch(
+    const catalog::Catalog& cat, const authz::Policy& policy,
+    const plan::QuerySpec& spec, const plan::StatsCatalog* stats,
+    const planner::PlanSearchOptions& options) {
+  const planner::FeasiblePlanSearch search(cat, policy, stats);
+  CISQP_ASSIGN_OR_RETURN(const std::vector<plan::QuerySpec> orders,
+                         search.EnumerateOrders(spec, options.max_orders));
+  plan::BuildOptions build_options = options.build_options;
+  build_options.join_order = plan::JoinOrderPolicy::kFromClause;
+  const plan::PlanBuilder builder(cat, stats);
+  const planner::SafePlanner planner(cat, policy, options.planner_options);
+  const planner::MinCostSafePlanner coster(cat, policy, stats);
+  std::optional<planner::PlanSearchResult> best;
+  std::size_t feasible = 0;
+  for (const plan::QuerySpec& order : orders) {
+    Result<plan::QueryPlan> built = builder.Build(order, build_options);
+    if (!built.ok()) continue;
+    CISQP_ASSIGN_OR_RETURN(planner::PlanningReport report,
+                           planner.Analyze(*built));
+    if (!report.feasible) continue;
+    CISQP_ASSIGN_OR_RETURN(
+        const double bytes,
+        coster.EstimateAssignmentBytes(*built, report.plan->assignment));
+    ++feasible;
+    if (!best || bytes < best->estimated_bytes) {
+      best.emplace();
+      best->plan = std::move(*built);
+      best->safe_plan = std::move(*report.plan);
+      best->estimated_bytes = bytes;
+    }
+  }
+  if (!best) {
+    return InfeasibleError("no examined join order admits a safe assignment (" +
+                           std::to_string(orders.size()) + " orders tried)");
+  }
+  best->orders_tried = orders.size();
+  best->orders_feasible = feasible;
+  return std::move(*best);
 }
 
 }  // namespace cisqp::testcheck

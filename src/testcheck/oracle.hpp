@@ -11,8 +11,12 @@
 //    cheapest safe assignment's cost under the shared cost model (the
 //    production planner is the greedy two-traversal Fig. 6 heuristic inside
 //    FeasiblePlanSearch);
+//  * PerOrderPlanSearch — FeasiblePlanSearch without the prefix trie: every
+//    enumerated order is built, analyzed and costed on its own, in order
+//    (production evaluates each shared prefix once and builds only the
+//    orders whose prefixes all have candidates);
 //  * the single-site reference evaluator is `exec::ExecuteCentralized`,
-//    re-exported here so harness code names all three oracles in one place.
+//    re-exported here so harness code names all the oracles in one place.
 #pragma once
 
 #include <set>
@@ -22,6 +26,7 @@
 #include "exec/executor.hpp"
 #include "plan/query_spec.hpp"
 #include "plan/stats.hpp"
+#include "planner/plan_search.hpp"
 
 namespace cisqp::testcheck {
 
@@ -68,5 +73,16 @@ Result<PlanOracleResult> ExhaustivePlanOracle(const catalog::Catalog& cat,
                                               const plan::QuerySpec& spec,
                                               const plan::StatsCatalog* stats,
                                               const PlanOracleOptions& options = {});
+
+/// The join-order search done order by order: every order EnumerateOrders
+/// lists (capped at `options.max_orders`) is built, analyzed by SafePlanner
+/// and costed, sequentially; the cheapest feasible plan wins, the lowest
+/// order index on ties. FeasiblePlanSearch::Search must return the same
+/// plan, assignment, trace, cost, orders_tried and orders_feasible — or the
+/// same kInfeasible status. `orders_pruned` stays 0: nothing is pruned.
+Result<planner::PlanSearchResult> PerOrderPlanSearch(
+    const catalog::Catalog& cat, const authz::Policy& policy,
+    const plan::QuerySpec& spec, const plan::StatsCatalog* stats,
+    const planner::PlanSearchOptions& options = {});
 
 }  // namespace cisqp::testcheck

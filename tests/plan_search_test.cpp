@@ -1,11 +1,17 @@
 // Tests for feasibility-aware join ordering (FeasiblePlanSearch).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+
+#include "authz/chase.hpp"
 #include "authz/open_policy.hpp"
+#include "obs/metrics.hpp"
 #include "planner/plan_search.hpp"
 #include "planner/verifier.hpp"
 #include "sql/binder.hpp"
 #include "test_util.hpp"
+#include "testcheck/oracle.hpp"
 #include "workload/generator.hpp"
 
 namespace cisqp::planner {
@@ -93,9 +99,19 @@ TEST_F(PlanSearchTest, RescuesAnInfeasibleFromOrder) {
   ASSERT_OK_AND_ASSIGN(PlanningReport report, direct.Analyze(*from_order_plan));
   EXPECT_FALSE(report.feasible);
 
-  // The search rescues it with a C-first order.
+  // The search rescues it with a C-first order. The orders are ABC, BAC,
+  // BCA and CBA; the blocked A ⋈ B prefix (in either orientation) prunes
+  // ABC and BAC, so only BCA and CBA are ever built.
   FeasiblePlanSearch search(cat, auths);
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Get();
+  metrics.Enable();
+  const std::uint64_t builds_before = metrics.Counter("plan.builds");
   ASSERT_OK_AND_ASSIGN(PlanSearchResult result, search.Search(*spec));
+  const std::uint64_t builds = metrics.Counter("plan.builds") - builds_before;
+  metrics.Disable();
+  EXPECT_EQ(result.orders_tried, 4u);
+  EXPECT_EQ(result.orders_pruned, 2u);
+  EXPECT_EQ(builds, 2u);
   EXPECT_GE(result.orders_feasible, 1u);
   EXPECT_OK(VerifyAssignment(cat, auths, result.plan,
                              result.safe_plan.assignment));
@@ -199,7 +215,107 @@ TEST_F(PlanSearchTest, ParallelSearchMatchesSequentialUnderRealPolicy) {
   EXPECT_EQ(par.plan.ToString(fix_.cat), seq.plan.ToString(fix_.cat));
   EXPECT_EQ(par.safe_plan.assignment, seq.safe_plan.assignment);
   EXPECT_EQ(par.estimated_bytes, seq.estimated_bytes);
+  EXPECT_EQ(par.orders_tried, seq.orders_tried);
   EXPECT_EQ(par.orders_feasible, seq.orders_feasible);
+  EXPECT_EQ(par.orders_pruned, seq.orders_pruned);
+}
+
+TEST(PlanSearchPruning, PrunedSearchMatchesPerOrderReference) {
+  // The prefix walk must return exactly what building and analyzing every
+  // enumerated order returns, over generated 6-server federations under
+  // every planner variant and at caps that cut the enumeration inside
+  // pruned subtrees (2, 7) or not at all (64). orders_pruned must count
+  // exactly the examined orders whose Find_candidates blocks.
+  Rng rng(4242);
+  std::size_t compared = 0;
+  std::size_t feasible = 0;
+  std::map<std::size_t, std::size_t> capped_with_pruning;
+  for (int round = 0; round < 5; ++round) {
+    workload::FederationConfig fed_config;
+    fed_config.servers = 6;
+    fed_config.relations = 8;
+    const workload::Federation fed = workload::GenerateFederation(fed_config, rng);
+    const catalog::Catalog& cat = fed.catalog;
+    workload::AuthzConfig authz_config;
+    authz_config.base_grant_prob = 0.3;
+    authz_config.max_path_atoms = 2;
+    const authz::AuthorizationSet base =
+        workload::GenerateAuthorizations(cat, authz_config, rng);
+    authz::ChaseOptions chase_options;
+    chase_options.max_path_atoms = 3;
+    const Result<authz::AuthorizationSet> chased =
+        authz::ChaseClosure(cat, base, chase_options);
+    const authz::AuthorizationSet& auths = chased.ok() ? *chased : base;
+    plan::StatsCatalog stats;
+    for (catalog::RelationId r = 0; r < cat.relation_count(); ++r) {
+      stats.Set(r, plan::RelationStats{
+                       static_cast<double>(10 + rng.UniformIndex(1000)), {}});
+    }
+    const FeasiblePlanSearch search(cat, auths, &stats);
+
+    for (int q = 0; q < 12; ++q) {
+      workload::QueryConfig query_config;
+      query_config.relations = 3 + rng.UniformIndex(3);
+      const Result<plan::QuerySpec> spec =
+          workload::GenerateQuery(cat, query_config, rng);
+      if (!spec.ok()) continue;
+      ASSERT_OK_AND_ASSIGN(const std::vector<plan::QuerySpec> all,
+                           search.EnumerateOrders(*spec, 1000));
+      for (const bool third_party : {false, true}) {
+        for (const std::optional<catalog::ServerId> requestor :
+             {std::optional<catalog::ServerId>(),
+              std::optional<catalog::ServerId>(0),
+              std::optional<catalog::ServerId>(1)}) {
+          for (const std::size_t cap : {2u, 7u, 64u}) {
+            PlanSearchOptions options;
+            options.max_orders = cap;
+            options.threads = 1;
+            options.planner_options.allow_third_party = third_party;
+            options.planner_options.requestor = requestor;
+            const Result<PlanSearchResult> got = search.Search(*spec, options);
+            const Result<PlanSearchResult> want =
+                testcheck::PerOrderPlanSearch(cat, auths, *spec, &stats, options);
+            ++compared;
+            ASSERT_EQ(got.ok(), want.ok())
+                << spec->ToString(cat) << "\n" << got.status() << " vs "
+                << want.status();
+            if (!got.ok()) {
+              EXPECT_EQ(got.status().code(), want.status().code());
+              EXPECT_EQ(got.status().message(), want.status().message());
+              continue;
+            }
+            ++feasible;
+            EXPECT_EQ(got->plan.ToString(cat), want->plan.ToString(cat));
+            EXPECT_EQ(got->safe_plan.assignment, want->safe_plan.assignment);
+            EXPECT_EQ(got->safe_plan.trace.ToString(cat),
+                      want->safe_plan.trace.ToString(cat));
+            EXPECT_EQ(got->estimated_bytes, want->estimated_bytes);
+            EXPECT_EQ(got->orders_tried, want->orders_tried);
+            EXPECT_EQ(got->orders_feasible, want->orders_feasible);
+
+            // Pruned = examined orders whose Find_candidates blocks, i.e.
+            // infeasible even without the requestor check.
+            SafePlannerOptions no_requestor = options.planner_options;
+            no_requestor.requestor.reset();
+            const SafePlanner planner(cat, auths, no_requestor);
+            std::size_t blocked = 0;
+            for (std::size_t i = 0; i < got->orders_tried; ++i) {
+              ASSERT_OK_AND_ASSIGN(const plan::QueryPlan tree,
+                                   plan::PlanBuilder(cat, &stats).Build(all[i]));
+              ASSERT_OK_AND_ASSIGN(const PlanningReport report, planner.Analyze(tree));
+              if (!report.feasible) ++blocked;
+            }
+            EXPECT_EQ(got->orders_pruned, blocked);
+            if (cap < all.size() && got->orders_pruned > 0) ++capped_with_pruning[cap];
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 500u);
+  EXPECT_GT(feasible, 0u);
+  EXPECT_GT(capped_with_pruning[2], 0u);
+  EXPECT_GT(capped_with_pruning[7], 0u);
 }
 
 TEST(PlanSearchSweep, RescueRateOnRandomFederations) {

@@ -3,9 +3,23 @@
 // plan-shape check.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <optional>
+#include <sstream>
+#include <utility>
+
+#include "common/rng.hpp"
 #include "plan/builder.hpp"
+#include "planner/plan_search.hpp"
 #include "sql/binder.hpp"
 #include "test_util.hpp"
+#include "testcheck/scenario.hpp"
+#include "workload/generator.hpp"
+
+#ifndef CISQP_CORPUS_DIR
+#error "CISQP_CORPUS_DIR must be defined (see tests/CMakeLists.txt)"
+#endif
 
 namespace cisqp::plan {
 namespace {
@@ -242,6 +256,179 @@ TEST_F(PlanTest, StatsFromTableAreExact) {
   EXPECT_DOUBLE_EQ(reg.rows, 200.0);
   EXPECT_DOUBLE_EQ(reg.DistinctOf(Attr(fix_.cat, "Citizen")), 200.0);
   EXPECT_LE(reg.DistinctOf(Attr(fix_.cat, "HealthAid")), 3.0);
+}
+
+// --- step-wise left-deep construction ≡ whole-tree Finish -----------------
+
+/// Finish over the bare left-deep join tree of `spec`: the whole-tree WHERE
+/// placement and projection pushdown that Build's fold must reproduce.
+Result<QueryPlan> FinishLeftDeep(const catalog::Catalog& cat, const QuerySpec& spec,
+                                 const BuildOptions& options) {
+  std::unique_ptr<PlanNode> root = PlanNode::Relation(spec.first_relation);
+  for (const JoinStep& step : spec.joins) {
+    root = PlanNode::Join(std::move(root), PlanNode::Relation(step.relation),
+                          step.atoms);
+  }
+  return PlanBuilder(cat).Finish(std::move(root), spec, options);
+}
+
+void ExpectSameNodes(const catalog::Catalog& cat, const PlanNode* a,
+                     const PlanNode* b) {
+  ASSERT_EQ(a == nullptr, b == nullptr);
+  if (a == nullptr) return;
+  EXPECT_EQ(a->op, b->op);
+  EXPECT_EQ(a->id, b->id);
+  EXPECT_EQ(a->relation, b->relation);
+  EXPECT_EQ(a->projection, b->projection);
+  EXPECT_EQ(a->distinct, b->distinct);
+  EXPECT_EQ(a->predicate.ToString(cat), b->predicate.ToString(cat));
+  EXPECT_EQ(a->join_atoms, b->join_atoms);
+  ExpectSameNodes(cat, a->left.get(), b->left.get());
+  ExpectSameNodes(cat, a->right.get(), b->right.get());
+}
+
+/// Int64 attributes of two different relations of `spec`, if any.
+std::optional<std::pair<catalog::AttributeId, catalog::AttributeId>>
+CrossRelationPair(const catalog::Catalog& cat, const QuerySpec& spec, Rng& rng) {
+  const std::vector<catalog::RelationId> relations = spec.Relations();
+  for (int attempt = 0; attempt < 8; ++attempt) {
+    const catalog::RelationId r1 = relations[rng.UniformIndex(relations.size())];
+    const catalog::RelationId r2 = relations[rng.UniformIndex(relations.size())];
+    if (r1 == r2) continue;
+    const auto& a1 = cat.relation(r1).attributes;
+    const auto& a2 = cat.relation(r2).attributes;
+    const catalog::AttributeId x = a1[rng.UniformIndex(a1.size())];
+    const catalog::AttributeId y = a2[rng.UniformIndex(a2.size())];
+    if (cat.attribute(x).type == catalog::ValueType::kInt64 &&
+        cat.attribute(y).type == catalog::ValueType::kInt64) {
+      return std::make_pair(x, y);
+    }
+  }
+  return std::nullopt;
+}
+
+/// `spec` with up to two conjuncts over two relations spliced into its WHERE
+/// list: one in front of the single-relation conjuncts (everything after it
+/// that it covers merges into its σ) and one at a random position.
+QuerySpec WithCrossConjuncts(const catalog::Catalog& cat, QuerySpec spec, Rng& rng) {
+  std::vector<algebra::Comparison> conjuncts = spec.where.conjuncts();
+  for (int k = 0; k < 2; ++k) {
+    const auto pair = CrossRelationPair(cat, spec, rng);
+    if (!pair) break;
+    const std::size_t at = k == 0 ? 0 : rng.UniformIndex(conjuncts.size() + 1);
+    conjuncts.insert(conjuncts.begin() + static_cast<std::ptrdiff_t>(at),
+                     algebra::Comparison{pair->first, algebra::CompareOp::kLt,
+                                         pair->second});
+  }
+  spec.where = algebra::Predicate(std::move(conjuncts));
+  return spec;
+}
+
+/// Build(order) must equal Finish over the same join tree, node for node,
+/// for every connected order of `spec`, under every pushdown option and
+/// with and without DISTINCT. Returns the number of plans compared.
+std::size_t ExpectStepwiseMatchesFinish(const catalog::Catalog& cat,
+                                        const QuerySpec& spec) {
+  const authz::AuthorizationSet none;
+  const Result<std::vector<QuerySpec>> orders =
+      planner::FeasiblePlanSearch(cat, none).EnumerateOrders(spec, 1000);
+  EXPECT_OK(orders.status());
+  if (!orders.ok()) return 0;
+  std::size_t compared = 0;
+  for (QuerySpec order : *orders) {
+    for (const bool distinct : {false, true}) {
+      order.distinct = distinct;
+      for (const bool push_selections : {true, false}) {
+        for (const bool push_projections : {true, false}) {
+          BuildOptions options;
+          options.push_selections = push_selections;
+          options.push_projections = push_projections;
+          const Result<QueryPlan> stepwise = PlanBuilder(cat).Build(order, options);
+          const Result<QueryPlan> whole = FinishLeftDeep(cat, order, options);
+          EXPECT_OK(stepwise.status());
+          EXPECT_OK(whole.status());
+          if (!stepwise.ok() || !whole.ok()) continue;
+          EXPECT_EQ(stepwise->ToString(cat), whole->ToString(cat))
+              << order.ToString(cat);
+          ExpectSameNodes(cat, stepwise->root(), whole->root());
+          ++compared;
+        }
+      }
+    }
+  }
+  return compared;
+}
+
+TEST(LeftDeepBuilderTest, StepwiseBuildMatchesFinishOnFuzzScenarios) {
+  // The fuzz harness's generated scenarios, then the checked-in corpus.
+  Rng rng(31);
+  std::size_t compared = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const Result<testcheck::Scenario> s =
+        testcheck::GenerateScenario(testcheck::ScenarioConfig{}, seed);
+    if (!s.ok()) continue;
+    compared += ExpectStepwiseMatchesFinish(s->catalog, s->query);
+    compared += ExpectStepwiseMatchesFinish(
+        s->catalog, WithCrossConjuncts(s->catalog, s->query, rng));
+  }
+  for (const auto& entry : std::filesystem::directory_iterator(CISQP_CORPUS_DIR)) {
+    if (entry.path().extension() != ".repro") continue;
+    std::ifstream in(entry.path());
+    std::ostringstream text;
+    text << in.rdbuf();
+    ASSERT_OK_AND_ASSIGN(const testcheck::Scenario s,
+                         testcheck::ParseReproText(text.str()));
+    compared += ExpectStepwiseMatchesFinish(s.catalog, s.query);
+  }
+  EXPECT_GT(compared, 1000u);
+}
+
+TEST(LeftDeepBuilderTest, StepwiseBuildMatchesFinishOnColdPlanQueries) {
+  // 512 connected 3-5 relation queries over a generated 6-server federation,
+  // shaped like the serving benchmark's cold-plan templates, each also with
+  // cross-relation conjuncts in front of single-relation ones.
+  Rng rng(7);
+  workload::FederationConfig fed_config;
+  fed_config.servers = 6;
+  fed_config.relations = 8;
+  fed_config.min_domain = 1000;
+  fed_config.max_domain = 2000;
+  const workload::Federation fed = workload::GenerateFederation(fed_config, rng);
+  workload::QueryConfig query_config;
+  query_config.max_select = 4;
+  query_config.where_prob = 0.5;
+  query_config.max_where = 2;
+  std::size_t queries = 0;
+  std::size_t compared = 0;
+  while (queries < 512) {
+    query_config.relations = 3 + rng.UniformIndex(3);
+    const Result<QuerySpec> spec = workload::GenerateQuery(fed.catalog, query_config, rng);
+    if (!spec.ok()) continue;
+    ++queries;
+    compared += ExpectStepwiseMatchesFinish(fed.catalog, *spec);
+    compared += ExpectStepwiseMatchesFinish(
+        fed.catalog, WithCrossConjuncts(fed.catalog, *spec, rng));
+  }
+  EXPECT_GT(compared, 10000u);
+}
+
+TEST_F(PlanTest, CrossConjunctCapturesLaterSingleRelationConjuncts) {
+  // Finish merges each conjunct into the first σ on its way down, so a
+  // single-relation conjunct listed after a cross-relation one lands in the
+  // cross-relation σ above the join, not on its scan — and the step-wise
+  // build must place it there too.
+  ASSERT_OK_AND_ASSIGN(
+      QuerySpec spec,
+      sql::ParseAndBind(fix_.cat,
+                        "SELECT Plan, HealthAid FROM Insurance JOIN Nat_registry "
+                        "ON Holder = Citizen WHERE Holder < Citizen AND Holder > 5"));
+  ASSERT_OK_AND_ASSIGN(QueryPlan plan, PlanBuilder(fix_.cat).Build(spec));
+  ASSERT_OK_AND_ASSIGN(QueryPlan whole, FinishLeftDeep(fix_.cat, spec, {}));
+  EXPECT_EQ(plan.ToString(fix_.cat), whole.ToString(fix_.cat));
+  const PlanNode* select = plan.root()->left.get();
+  ASSERT_EQ(select->op, PlanOp::kSelect);
+  EXPECT_EQ(select->predicate.conjuncts().size(), 2u);
+  EXPECT_EQ(select->left->op, PlanOp::kJoin);
 }
 
 }  // namespace
