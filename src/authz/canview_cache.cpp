@@ -90,26 +90,6 @@ std::size_t CachingPolicy::RetainFrom(const CachingPolicy& prior,
   return retained;
 }
 
-void CachingPolicy::BumpEpoch() {
-  // Every entry carries the pre-bump epoch's verdicts; all are affected.
-  // Holding every stripe (in index order) makes the clear and the bump one
-  // step for concurrent probes, as a single lock did.
-  std::array<std::unique_lock<std::mutex>, kShards> locks;
-  for (std::size_t i = 0; i < kShards; ++i) {
-    locks[i] = std::unique_lock<std::mutex>(shards_[i].mu);
-  }
-  for (Shard& shard : shards_) shard.memo.clear();
-  epoch_.fetch_add(1, std::memory_order_relaxed);
-  CISQP_METRIC_INC("authz.canview_cache.epoch_bumps");
-}
-
-void CachingPolicy::Clear() {
-  for (Shard& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mu);
-    shard.memo.clear();
-  }
-}
-
 std::uint64_t CachingPolicy::hits() const noexcept {
   std::uint64_t total = 0;
   for (const Shard& shard : shards_) {

@@ -9,11 +9,9 @@
 // boolean — are cached so the audit log records byte-identical evidence on
 // a hit and a miss.
 //
-// Epoch stamping is the invalidation contract: every entry is implicitly
-// stamped with the epoch current at insertion, and BumpEpoch() discards
-// exactly the entries of older epochs (all of them — a policy edit can
-// change any verdict). The decorated policy itself is immutable through
-// this class; the owner swaps/edits it and then bumps.
+// Invalidation is a fresh memo per policy epoch: the decorated policy never
+// changes under a memo, so a policy change builds a new CachingPolicy over
+// the new rules and drops the old one.
 //
 // An *incremental* policy edit does better: when constructed with a
 // catalog, every entry records the relations its profile touches, and
@@ -48,8 +46,8 @@ std::string ProfileCacheKey(const Profile& profile, catalog::ServerId server);
 class CachingPolicy : public Policy {
  public:
   /// Decorates `base`, which must outlive this object and must not change
-  /// between BumpEpoch calls. When `cat` is non-null (it must then outlive
-  /// this object too), entries record their profile's relations, enabling
+  /// while it lives. When `cat` is non-null (it must then outlive this
+  /// object too), entries record their profile's relations, enabling
   /// RetainFrom after an incremental policy edit.
   explicit CachingPolicy(const Policy& base,
                          const catalog::Catalog* cat = nullptr)
@@ -64,18 +62,6 @@ class CachingPolicy : public Policy {
                                     catalog::ServerId server) const override {
     return Explain(profile, server);
   }
-
-  /// Current policy epoch (starts at 0).
-  std::uint64_t epoch() const noexcept {
-    return epoch_.load(std::memory_order_relaxed);
-  }
-
-  /// Invalidates every memo entry of the current epoch and advances the
-  /// stamp. Call after any change to the decorated policy.
-  void BumpEpoch();
-
-  /// Drops all entries without advancing the epoch (bench cold paths).
-  void Clear();
 
   /// Copies from `prior` every entry whose recorded relation set is
   /// non-empty and disjoint from `changed_relations` — the verdicts an
@@ -109,7 +95,6 @@ class CachingPolicy : public Policy {
 
   const Policy& base_;
   const catalog::Catalog* cat_ = nullptr;
-  std::atomic<std::uint64_t> epoch_{0};
   /// Stripe i holds the keys whose std::hash is i modulo kShards.
   mutable std::array<Shard, kShards> shards_;
 };

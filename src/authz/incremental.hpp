@@ -94,13 +94,14 @@ class IncrementalClosure {
   const ChaseStats& stats() const noexcept { return stats_; }
 
   /// Grants `auth`. Validation failures (kInvalidArgument, kNotFound,
-  /// kAlreadyExists) leave the object untouched and usable; a
-  /// kResourceExhausted cap trip leaves it inconsistent — discard it and
-  /// fall back to the batch chase.
+  /// kAlreadyExists) leave the object untouched and usable; after a
+  /// kResourceExhausted cap trip base() holds the edit but closed() is
+  /// inconsistent — keep base() if needed and discard the object.
   Result<ClosureDelta> AddRule(const Authorization& auth);
 
   /// Revokes exactly `auth` from the base policy (kNotFound when absent;
-  /// the object stays usable). Rederives the edited server only.
+  /// the object stays usable). Rederives the edited server only. A cap
+  /// trip leaves the object as AddRule's does.
   Result<ClosureDelta> RevokeRule(const Authorization& auth);
 
  private:

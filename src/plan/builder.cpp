@@ -213,9 +213,8 @@ std::unique_ptr<PlanNode> ProjectSelectList(const catalog::Catalog& cat,
 }  // namespace
 
 LeftDeepBuilder::LeftDeepBuilder(const catalog::Catalog& cat,
-                                 const QuerySpec& spec,
-                                 const BuildOptions& options)
-    : cat_(cat), spec_(spec), options_(options) {
+                                 const QuerySpec& spec)
+    : cat_(cat), spec_(spec) {
   // Prune keeps at a leaf what the select list, the join atoms and the σs
   // on its path to the root read. Every atom and conjunct over a relation
   // lies on that relation's path, so the keep set depends on the query only.
@@ -251,16 +250,12 @@ std::size_t LeftDeepBuilder::FirstAbove(const IdSet& placed) const {
 std::unique_ptr<PlanNode> LeftDeepBuilder::Operand(catalog::RelationId rel,
                                                    const IdSet& placed) const {
   std::unique_ptr<PlanNode> node = PlanNode::Relation(rel);
-  if (options_.push_projections) {
-    const std::vector<catalog::AttributeId>& all =
-        cat_.relation(rel).attributes;
-    std::vector<catalog::AttributeId> keep = OrderedIntersect(all, required_);
-    CISQP_CHECK_MSG(!keep.empty(), "pruned a leaf to zero attributes");
-    if (keep.size() != all.size()) {
-      node = PlanNode::Project(std::move(node), std::move(keep));
-    }
+  const std::vector<catalog::AttributeId>& all = cat_.relation(rel).attributes;
+  std::vector<catalog::AttributeId> keep = OrderedIntersect(all, required_);
+  CISQP_CHECK_MSG(!keep.empty(), "pruned a leaf to zero attributes");
+  if (keep.size() != all.size()) {
+    node = PlanNode::Project(std::move(node), std::move(keep));
   }
-  if (!options_.push_selections) return node;
   // Single-relation conjuncts descend to the scan until a σ above the
   // prefix intercepts them.
   algebra::Predicate own;
@@ -285,7 +280,6 @@ std::unique_ptr<PlanNode> LeftDeepBuilder::Extend(
   const catalog::RelationId rel = step.relation;
   std::unique_ptr<PlanNode> join = PlanNode::Join(
       std::move(prefix), Operand(rel, placed), std::move(step.atoms));
-  if (!options_.push_selections) return join;
   // The σ over this join opens with the first conjunct that needs `rel` and
   // another relation; from there on every conjunct this prefix covers
   // merges into it, until one needs a relation still to come.
@@ -303,9 +297,6 @@ std::unique_ptr<PlanNode> LeftDeepBuilder::Extend(
 
 Result<QueryPlan> LeftDeepBuilder::Complete(
     std::unique_ptr<PlanNode> tree) const {
-  if (!options_.push_selections) {
-    tree = SelectIfAny(std::move(tree), spec_.where);
-  }
   QueryPlan plan(ProjectSelectList(cat_, std::move(tree), spec_));
   CISQP_RETURN_IF_ERROR(plan.Validate(cat_));
   return plan;
@@ -326,7 +317,7 @@ Result<QueryPlan> PlanBuilder::Build(const QuerySpec& spec,
     steps = std::move(ordered.second);
   }
 
-  const LeftDeepBuilder left_deep(cat_, spec, options);
+  const LeftDeepBuilder left_deep(cat_, spec);
   std::unique_ptr<PlanNode> root = left_deep.Start(first);
   IdSet placed{first};
   for (JoinStep& step : steps) {
@@ -338,31 +329,24 @@ Result<QueryPlan> PlanBuilder::Build(const QuerySpec& spec,
 }
 
 Result<QueryPlan> PlanBuilder::Finish(std::unique_ptr<PlanNode> root,
-                                      const QuerySpec& spec,
-                                      const BuildOptions& options) const {
+                                      const QuerySpec& spec) const {
   CISQP_RETURN_IF_ERROR(spec.Validate(cat_));
   if (root == nullptr) return InvalidArgumentError("null join tree");
 
   // WHERE placement.
-  if (!spec.where.IsTrue()) {
-    if (options.push_selections) {
-      for (const algebra::Comparison& c : spec.where.conjuncts()) {
-        IdSet refs;
-        refs.Insert(c.lhs);
-        if (c.rhs_is_attribute()) refs.Insert(std::get<catalog::AttributeId>(c.rhs));
-        root = PushConjunct(cat_, std::move(root), c, refs);
-      }
-    } else {
-      root = PlanNode::Select(std::move(root), spec.where);
+  for (const algebra::Comparison& c : spec.where.conjuncts()) {
+    IdSet refs;
+    refs.Insert(c.lhs);
+    if (c.rhs_is_attribute()) {
+      refs.Insert(std::get<catalog::AttributeId>(c.rhs));
     }
+    root = PushConjunct(cat_, std::move(root), c, refs);
   }
 
   // Projection pushdown, then the final π on the select list.
-  if (options.push_projections) {
-    IdSet required;
-    for (catalog::AttributeId a : spec.select_list) required.Insert(a);
-    root = Prune(cat_, std::move(root), required);
-  }
+  IdSet required;
+  for (catalog::AttributeId a : spec.select_list) required.Insert(a);
+  root = Prune(cat_, std::move(root), required);
 
   QueryPlan plan(ProjectSelectList(cat_, std::move(root), spec));
   CISQP_RETURN_IF_ERROR(plan.Validate(cat_));

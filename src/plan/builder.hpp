@@ -25,8 +25,6 @@ enum class JoinOrderPolicy : std::uint8_t {
 
 struct BuildOptions {
   JoinOrderPolicy join_order = JoinOrderPolicy::kFromClause;
-  bool push_selections = true;
-  bool push_projections = true;
 };
 
 /// Left-deep construction one relation at a time (DESIGN.md §17). For a
@@ -42,8 +40,7 @@ class LeftDeepBuilder {
  public:
   /// `spec` supplies the select list, WHERE, DISTINCT and the join atoms;
   /// it must outlive the builder. Its relation order is not used.
-  LeftDeepBuilder(const catalog::Catalog& cat, const QuerySpec& spec,
-                  const BuildOptions& options);
+  LeftDeepBuilder(const catalog::Catalog& cat, const QuerySpec& spec);
 
   /// The tree over the single relation `first`.
   std::unique_ptr<PlanNode> Start(catalog::RelationId first) const;
@@ -55,8 +52,8 @@ class LeftDeepBuilder {
   std::unique_ptr<PlanNode> Extend(std::unique_ptr<PlanNode> prefix,
                                    const IdSet& placed, JoinStep step) const;
 
-  /// Closes the tree over every relation: the unpushed WHERE σ and the
-  /// final π; renumbers and validates.
+  /// Closes the tree over every relation with the final π; renumbers and
+  /// validates.
   Result<QueryPlan> Complete(std::unique_ptr<PlanNode> tree) const;
 
  private:
@@ -71,7 +68,6 @@ class LeftDeepBuilder {
 
   const catalog::Catalog& cat_;
   const QuerySpec& spec_;
-  const BuildOptions options_;
   IdSet required_;                       ///< attributes read above the leaves
   std::vector<IdSet> conjunct_relations_;  ///< per WHERE conjunct
 };
@@ -92,10 +88,9 @@ class PlanBuilder {
   /// Finishes an externally built join tree (scans + joins covering exactly
   /// the relations of `spec`, any shape — e.g. the bushy trees of the DP
   /// optimizer): places WHERE conjuncts, pushes projections, adds the final
-  /// π, renumbers and validates. `options.join_order` is ignored.
+  /// π, renumbers and validates.
   Result<QueryPlan> Finish(std::unique_ptr<PlanNode> join_tree,
-                           const QuerySpec& spec,
-                           const BuildOptions& options = {}) const;
+                           const QuerySpec& spec) const;
 
   /// Estimated output cardinality of a plan subtree under this builder's
   /// statistics (used by tests and the cost-based safe planner). A measured

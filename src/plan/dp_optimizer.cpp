@@ -201,8 +201,7 @@ Result<DpOptimizerResult> OptimizeJoinOrder(const catalog::Catalog& cat,
   span.AddAttribute("subsets_explored", result.subsets_explored);
   span.AddAttribute("estimated_cost", result.estimated_cost);
   PlanBuilder builder(cat, stats, options.feedback);
-  CISQP_ASSIGN_OR_RETURN(result.plan,
-                         builder.Finish(dp.TakeTree(), spec, options.build_options));
+  CISQP_ASSIGN_OR_RETURN(result.plan, builder.Finish(dp.TakeTree(), spec));
   return result;
 }
 

@@ -25,8 +25,6 @@ struct DpOptimizerOptions {
   bool bushy = true;
   /// Refuse queries with more relations than this (DP is exponential).
   std::size_t max_relations = 14;
-  /// Finishing passes (pushdown etc.); join_order is ignored.
-  BuildOptions build_options;
   /// Measured cardinalities from profiled past executions. When a subset's
   /// signature hits the store, the measured row count replaces the modeled
   /// one for that subset — uniformly across its splits, so the split choice

@@ -134,6 +134,7 @@ plan::QuerySpec ReorderSpec(const plan::QuerySpec& spec,
                             const std::vector<catalog::RelationId>& order,
                             const std::vector<Edge>& edges) {
   plan::QuerySpec out;
+  out.distinct = spec.distinct;
   out.select_list = spec.select_list;
   out.where = spec.where;
   out.first_relation = order.front();
@@ -195,16 +196,13 @@ Result<PlanSearchResult> FeasiblePlanSearch::Search(
   const std::vector<catalog::RelationId> relations = spec.Relations();
   const std::vector<Edge> edges = CollectEdges(cat_, spec);
 
-  plan::BuildOptions build_options = options.build_options;
-  build_options.join_order = plan::JoinOrderPolicy::kFromClause;
-
   // Walk the order trie, running Find_candidates once per distinct prefix:
   // the tree over a prefix, and so its state, does not depend on the
   // relations joined after it (DESIGN.md §17). `states[k]` holds the state
   // of the current prefix of k + 1 relations. A prefix with no candidate
   // blocks every order below it, so only the complete orders that were
   // entered survive to be built and analyzed.
-  const plan::LeftDeepBuilder left_deep(cat_, spec, build_options);
+  const plan::LeftDeepBuilder left_deep(cat_, spec);
   CandidateFinder finder(cat_, policy_, options.planner_options);
   std::vector<NodeCandidates> states(relations.size());
   OrderTrie trie(relations, edges, options.max_orders);
@@ -260,8 +258,7 @@ Result<PlanSearchResult> FeasiblePlanSearch::Search(
       plan::PlanBuilder builder(cat_, stats_, feedback_);
       SafePlanner planner(cat_, policy_, options.planner_options);
       MinCostSafePlanner cost_scorer(cat_, policy_, stats_, {}, feedback_);
-      auto built = builder.Build(ReorderSpec(spec, survivors[k].order, edges),
-                                 build_options);
+      auto built = builder.Build(ReorderSpec(spec, survivors[k].order, edges));
       if (!built.ok()) return;  // tried, but this order is not buildable
       auto report = planner.Analyze(*built);
       if (!report.ok()) {

@@ -53,9 +53,6 @@ struct PlanSearchOptions {
   std::size_t threads = 0;
   /// Options forwarded to the per-order SafePlanner runs.
   SafePlannerOptions planner_options;
-  /// Options forwarded to the per-order PlanBuilder runs (join_order is
-  /// ignored; the search dictates the order).
-  plan::BuildOptions build_options;
 };
 
 struct PlanSearchResult {

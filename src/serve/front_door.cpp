@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "authz/chase.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "planner/plan_search.hpp"
@@ -10,6 +9,22 @@
 #include "sql/signature.hpp"
 
 namespace cisqp::serve {
+namespace {
+
+/// An edit while the chase is capped changes only the edited rule of the
+/// served raw rules, but the next request retries the chase, which may
+/// change any verdict: every cache entry must go.
+authz::ClosureDelta CappedDelta(const catalog::Catalog& cat,
+                                const authz::Authorization& auth, bool grant) {
+  authz::ClosureDelta delta;
+  delta.full = true;
+  delta.relations = authz::RuleRelations(cat, auth);
+  delta.servers.Insert(auth.server);
+  (grant ? delta.added_rules : delta.removed_rules) = 1;
+  return delta;
+}
+
+}  // namespace
 
 FrontDoor::FrontDoor(const catalog::Catalog& cat,
                      authz::AuthorizationSet auths,
@@ -22,7 +37,7 @@ FrontDoor::FrontDoor(const catalog::Catalog& cat,
       admission_(options.max_concurrent, options.max_queue,
                  options.admission_max_wait_us),
       plan_cache_(options.plan_cache_capacity),
-      base_policy_(std::move(auths)) {
+      raw_(std::move(auths)) {
   // Cluster::TableOf materializes a relation's empty table lazily and
   // without synchronization; touch every relation now, before concurrent
   // requests exist, so the serving path only ever reads.
@@ -31,32 +46,40 @@ FrontDoor::FrontDoor(const catalog::Catalog& cat,
   }
 }
 
+Status FrontDoor::BuildClosureLocked() {
+  // Every rule change unpublishes the state, so a published capped state
+  // means the chase already tripped on exactly the current rules.
+  if (closure_ != nullptr || (state_ != nullptr && state_->chase_capped)) {
+    return Status::Ok();
+  }
+  const obs::Span span("serve.chase");
+  Result<authz::IncrementalClosure> built =
+      authz::IncrementalClosure::Build(cat_, raw_, options_.chase);
+  if (built.ok()) {
+    closure_ = std::make_unique<authz::IncrementalClosure>(std::move(*built));
+    raw_ = authz::AuthorizationSet();
+    return Status::Ok();
+  }
+  if (built.status().code() == StatusCode::kResourceExhausted) {
+    return Status::Ok();  // capped: the rules stay in raw_, served as they are
+  }
+  return built.status();
+}
+
 Result<std::shared_ptr<const FrontDoor::EpochState>> FrontDoor::State() {
   const std::lock_guard<std::mutex> lock(mu_);
   if (state_ != nullptr) return state_;
+  CISQP_RETURN_IF_ERROR(BuildClosureLocked());
   auto st = std::make_shared<EpochState>();
   st->epoch = epoch_.load(std::memory_order_relaxed);
-  if (options_.chase_policy) {
-    const obs::Span span("serve.chase");
-    Result<authz::AuthorizationSet> closed =
-        authz::ChaseClosure(cat_, base_policy_, options_.chase);
-    if (closed.ok()) {
-      st->policy = std::move(*closed);
-      // Canonical form (minimized, grants sorted per path): the closure an
-      // incremental edit maintains is canonical, so serving from either
-      // source answers identically — down to deny-reason tie-breaks.
-      st->policy.Canonicalize();
-    } else if (closed.status().code() == StatusCode::kResourceExhausted) {
-      // The cap tripped: serve against the raw rules. Sound — the chase only
-      // adds derivable grants — just stricter than the full closure.
-      st->policy = base_policy_;
-      st->chase_capped = true;
-      CISQP_METRIC_INC("serve.chase_capped");
-    } else {
-      return closed.status();
-    }
+  if (closure_ != nullptr) {
+    st->policy = closure_->closed();
   } else {
-    st->policy = base_policy_;
+    // The cap tripped: serve against the raw rules. Sound — the chase only
+    // adds derivable grants — just stricter than the full closure.
+    st->policy = raw_;
+    st->chase_capped = true;
+    CISQP_METRIC_INC("serve.chase_capped");
   }
   st->memo = std::make_unique<authz::CachingPolicy>(st->policy, &cat_);
   state_ = std::move(st);
@@ -216,8 +239,8 @@ void FrontDoor::RetireMemoCountersLocked() {
 
 void FrontDoor::SetPolicy(authz::AuthorizationSet auths) {
   const std::lock_guard<std::mutex> lock(mu_);
-  base_policy_ = std::move(auths);
-  inc_.reset();  // wholesale replacement: rebuild the closure from scratch
+  closure_.reset();  // wholesale replacement: rebuilt lazily from raw_
+  raw_ = std::move(auths);
   RetireMemoCountersLocked();
   state_.reset();
   const std::uint64_t next =
@@ -239,83 +262,27 @@ Result<authz::ClosureDelta> FrontDoor::EditPolicy(
     const authz::Authorization& auth, bool grant) {
   const std::lock_guard<std::mutex> lock(mu_);
   const obs::Span span(grant ? "serve.policy_grant" : "serve.policy_revoke");
+  CISQP_RETURN_IF_ERROR(BuildClosureLocked());
   authz::ClosureDelta delta;
-  bool incremental = false;
-  const bool capped = state_ != nullptr && state_->chase_capped;
-  if (options_.chase_policy && !capped) {
-    if (inc_ == nullptr) {
-      Result<authz::IncrementalClosure> built =
-          authz::IncrementalClosure::Build(cat_, base_policy_, options_.chase);
-      if (built.ok()) {
-        inc_ = std::make_unique<authz::IncrementalClosure>(std::move(*built));
-      } else if (built.status().code() != StatusCode::kResourceExhausted) {
-        return built.status();
-      }
-      // Cap trip: leave inc_ null and take the full-sweep path below —
-      // serving already degrades to the raw rules in State().
-    }
-  } else if (options_.chase_policy) {
-    // Capped state serves raw rules; keep doing so via the full path.
-    inc_.reset();
-  }
-  if (inc_ != nullptr) {
+  if (closure_ != nullptr) {
     Result<authz::ClosureDelta> edited =
-        grant ? inc_->AddRule(auth) : inc_->RevokeRule(auth);
+        grant ? closure_->AddRule(auth) : closure_->RevokeRule(auth);
     if (edited.ok()) {
       delta = std::move(*edited);
-      incremental = true;
-      // Mirror the edit so base_policy_ stays equal to inc_->base() (the
-      // same validation just passed inside the incremental closure).
-      const Status mirrored = grant ? base_policy_.Add(cat_, auth)
-                                    : base_policy_.Remove(cat_, auth);
-      if (!mirrored.ok()) {
-        // The identical validation passed inside the incremental closure,
-        // so a mirror refusal means inc_->base() now holds the edit while
-        // base_policy_ does not — the two were already out of step. Discard
-        // the divergent closure and the published state so nothing ever
-        // serves the half-applied edit; the edit is reported failed and
-        // base_policy_ (without it) stays the truth State() rebuilds from.
-        inc_.reset();
-        RetireMemoCountersLocked();
-        state_.reset();
-        plan_cache_.InvalidateBefore(
-            epoch_.fetch_add(1, std::memory_order_relaxed) + 1);
-        return mirrored;
-      }
     } else if (edited.status().code() == StatusCode::kResourceExhausted) {
-      // The chase cap tripped mid-edit: the incremental pools are
-      // inconsistent, but the base edit itself was validated and applied.
-      // Discard the maintained closure, apply the edit to the raw rules,
-      // and fall back to a full sweep; State() re-detects the cap lazily.
-      inc_.reset();
-      const Status applied = grant ? base_policy_.Add(cat_, auth)
-                                   : base_policy_.Remove(cat_, auth);
-      if (!applied.ok()) return applied;
-      delta.full = true;
-      delta.relations = authz::RuleRelations(cat_, auth);
-      delta.servers.Insert(auth.server);
-      if (grant) delta.added_rules = 1; else delta.removed_rules = 1;
+      // The cap tripped mid-edit: the closure is inconsistent, but its base
+      // rules already hold the validated edit. Serve those raw from now on.
+      raw_ = closure_->base();
+      closure_.reset();
+      delta = CappedDelta(cat_, auth, grant);
     } else {
       return edited.status();  // validation failure: nothing changed
     }
   } else {
-    // Chase off (or capped): the served policy IS the base rule set, so the
-    // only rule that changes is the edited one. Selective retention is
-    // still sound — unless the server's rule set transitions between empty
-    // and non-empty, which flips kNoRulesForServer denials for every
-    // profile at that server.
-    const bool was_empty = base_policy_.ForServer(auth.server).empty();
-    const Status applied = grant ? base_policy_.Add(cat_, auth)
-                                 : base_policy_.Remove(cat_, auth);
+    const Status applied =
+        grant ? raw_.Add(cat_, auth) : raw_.Remove(cat_, auth);
     if (!applied.ok()) return applied;
-    const bool is_empty = base_policy_.ForServer(auth.server).empty();
-    delta.relations = authz::RuleRelations(cat_, auth);
-    delta.servers.Insert(auth.server);
-    // With the chase on we only reach here capped (state or build), where a
-    // full sweep is the only sound answer; with it off, selective retention
-    // holds unless the server's rule set transitioned empty <-> non-empty.
-    delta.full = options_.chase_policy || (was_empty != is_empty);
-    if (grant) delta.added_rules = 1; else delta.removed_rules = 1;
+    delta = CappedDelta(cat_, auth, grant);
   }
 
   RetireMemoCountersLocked();
@@ -324,33 +291,23 @@ Result<authz::ClosureDelta> FrontDoor::EditPolicy(
   CISQP_METRIC_INC("serve.policy_epoch_bumps");
   CISQP_METRIC_INC(grant ? "serve.policy_grants" : "serve.policy_revokes");
   if (delta.full || state_ == nullptr) {
-    // Full sweep: no retained entries, closure (re)built lazily by State().
+    // Full sweep: no retained entries; State() publishes the next epoch
+    // from the maintained closure (or retries the chase when capped).
     state_.reset();
     plan_cache_.InvalidateBefore(next);
     return delta;
   }
-  // Publish the new epoch eagerly from the maintained closure (or the raw
-  // rules when the chase is off) and re-stamp every cache entry whose
-  // relations are disjoint from the delta: no verdict it depends on changed.
+  // Publish the new epoch eagerly from the maintained closure and re-stamp
+  // every cache entry whose relations are disjoint from the delta: no
+  // verdict it depends on changed.
   auto st = std::make_shared<EpochState>();
   st->epoch = next;
-  st->policy = incremental ? inc_->closed() : base_policy_;
+  st->policy = closure_->closed();
   st->memo = std::make_unique<authz::CachingPolicy>(st->policy, &cat_);
-  if (state_->memo != nullptr) {
-    st->memo->RetainFrom(*state_->memo, delta.relations);
-  }
+  st->memo->RetainFrom(*state_->memo, delta.relations);
   state_ = std::move(st);
   plan_cache_.AdvanceEpoch(next, delta.relations);
   return delta;
-}
-
-void FrontDoor::ClearCaches() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  RetireMemoCountersLocked();
-  state_.reset();  // drops the chased closure and the CanView memo
-  plan_cache_.Clear();
-  const std::lock_guard<std::mutex> sig_lock(sig_mu_);
-  sig_memo_.clear();
 }
 
 FrontDoorStats FrontDoor::Stats() const {

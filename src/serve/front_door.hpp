@@ -6,9 +6,10 @@
 // decides who runs, who queues, and who is told to back off, and two caches
 // amortize the paper's expensive per-query work across requests:
 //
-//   * the policy chase closure is computed once per *policy epoch* and
-//     shared by every request of that epoch (it depends only on the policy
-//     and the schema, never on the query);
+//   * the policy's chase closure is built once per rule set by one
+//     IncrementalClosure, which grants and revokes then maintain across
+//     epochs; every request of an epoch reads that epoch's copy of it (it
+//     depends only on the policy and the schema, never on the query);
 //   * the plan cache (PlanCache) maps (canonical query signature, policy
 //     epoch) to the finished feasibility search — a repeated query shape
 //     skips join-order enumeration and every Fig. 6 traversal;
@@ -19,7 +20,7 @@
 // The serving contract, enforced by the fuzz harness's serving arm: for any
 // fixed request, a cache-hit answer is byte-identical to the cold answer —
 // same table bytes on success, same typed status on failure. Policy changes
-// go through SetPolicy, which installs the new rules and bumps the epoch;
+// go through SetPolicy, AddRule or RevokeRule, each of which bumps the epoch;
 // entries of older epochs can never be served again (PlanCache checks the
 // stamp, the memo is per-epoch state), so staleness is structurally
 // impossible rather than probabilistically unlikely.
@@ -63,9 +64,11 @@ struct ServeOptions {
   std::size_t planning_threads = 1;
   bool allow_third_party = false;
 
-  // Close the policy under the chase once per epoch. Off serves against the
-  // raw rule set (sound but refuses derivable-view queries).
-  bool chase_policy = true;
+  // Chase limits for the maintained closure. When the closure would exceed
+  // `chase.max_derived_rules`, the door serves the raw rules instead (sound
+  // but refuses derivable-view queries), sweeps both caches on every edit,
+  // and retries the chase once the rules change. The closure is built one
+  // server at a time on the calling thread, so `chase.threads` is unused.
   authz::ChaseOptions chase;
 
   // Per-request execution defaults.
@@ -138,9 +141,9 @@ class FrontDoor {
   Result<Response> Serve(const Request& request);
 
   /// Installs a new rule set and bumps the policy epoch: the chase closure
-  /// is recomputed lazily, plan-cache entries of older epochs are swept,
-  /// and a fresh CanView memo starts. In-flight requests finish against the
-  /// epoch they started under.
+  /// is rebuilt lazily, plan-cache entries of older epochs are swept, and a
+  /// fresh CanView memo starts. In-flight requests finish against the epoch
+  /// they started under.
   void SetPolicy(authz::AuthorizationSet auths);
 
   /// Grants one rule incrementally (DESIGN.md §16): the chase closure is
@@ -148,9 +151,9 @@ class FrontDoor {
   /// and plan-cache/CanView-memo entries whose relations are disjoint from
   /// the edit's ClosureDelta are re-stamped into the new epoch instead of
   /// swept. Validation failures (kInvalidArgument, kNotFound,
-  /// kAlreadyExists) change nothing — no epoch bump, caches intact. Falls
-  /// back to SetPolicy semantics (full sweep, lazy rechase) when the
-  /// incremental path is unavailable (chase off, closure capped).
+  /// kAlreadyExists) change nothing — no epoch bump, caches intact. A full
+  /// delta (a server's rule set emptied or filled, or the chase capped)
+  /// sweeps both caches instead.
   Result<authz::ClosureDelta> AddRule(const authz::Authorization& auth);
 
   /// Revokes one rule incrementally; kNotFound when the exact rule is not
@@ -161,10 +164,6 @@ class FrontDoor {
     return epoch_.load(std::memory_order_relaxed);
   }
 
-  /// Drops every cache (plan cache, CanView memo, chased closure) without
-  /// bumping the epoch — the benches' cold-path switch.
-  void ClearCaches();
-
   FrontDoorStats Stats() const;
 
  private:
@@ -173,13 +172,18 @@ class FrontDoor {
   /// across a concurrent SetPolicy.
   struct EpochState {
     std::uint64_t epoch = 0;
-    authz::AuthorizationSet policy;  ///< chased closure (or raw on cap/off)
+    authz::AuthorizationSet policy;  ///< closure_->closed(), or raw_ if capped
     bool chase_capped = false;
     std::unique_ptr<authz::CachingPolicy> memo;  ///< wraps `policy`
   };
 
-  /// The current epoch's state, chasing the policy on first use.
+  /// The current epoch's state, published on first use after a change.
   Result<std::shared_ptr<const EpochState>> State();
+
+  /// With mu_ held: builds closure_ from raw_ unless it exists or the chase
+  /// already tripped its cap on the current rules. A cap trip leaves
+  /// closure_ null, and the rules stay in raw_.
+  Status BuildClosureLocked();
 
   /// Shared grant/revoke implementation; `grant` selects the direction.
   Result<authz::ClosureDelta> EditPolicy(const authz::Authorization& auth,
@@ -209,13 +213,13 @@ class FrontDoor {
   mutable std::mutex sig_mu_;  ///< guards sig_memo_
   std::unordered_map<std::string, std::string> sig_memo_;
 
-  mutable std::mutex mu_;  ///< guards base_policy_, state_, inc_, counters
-  authz::AuthorizationSet base_policy_;
+  mutable std::mutex mu_;  ///< guards closure_, raw_, state_, counters
+  /// The maintained chase closure; it owns the base rules. Null until an
+  /// epoch or an edit first needs it, after SetPolicy, and while capped.
+  std::unique_ptr<authz::IncrementalClosure> closure_;
+  /// The base rules while closure_ is null; empty otherwise.
+  authz::AuthorizationSet raw_;
   std::shared_ptr<const EpochState> state_;  ///< null until first State()
-  /// Incrementally maintained closure of base_policy_; built lazily on the
-  /// first AddRule/RevokeRule, dropped whenever the incremental path cannot
-  /// keep up (SetPolicy, cap trips).
-  std::unique_ptr<authz::IncrementalClosure> inc_;
   std::uint64_t retired_canview_hits_ = 0;
   std::uint64_t retired_canview_misses_ = 0;
 };

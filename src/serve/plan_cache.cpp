@@ -115,12 +115,6 @@ std::size_t PlanCache::AdvanceEpoch(std::uint64_t epoch,
   return kept;
 }
 
-void PlanCache::Clear() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  map_.clear();
-  lru_.clear();
-}
-
 std::size_t PlanCache::size() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return map_.size();

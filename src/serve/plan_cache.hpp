@@ -1,9 +1,9 @@
 // PlanCache: (canonical query signature, policy epoch) → finished planning
 // (DESIGN.md §15.2).
 //
-// A hit skips the entire front half of the pipeline — parse/bind still run
-// (they produced the signature), but join-order enumeration, the per-order
-// SafePlanner traversals, and cost ranking are all amortized to zero. Both
+// A hit skips the entire front half of the pipeline: join-order enumeration,
+// the per-order SafePlanner traversals and cost ranking, and parse/bind too
+// when the front door's signature memo already knows the spelling. Both
 // outcomes are cached: a feasible search caches its PlanHandle, an
 // infeasible one caches the typed kInfeasible status, so repeated denied
 // shapes are as cheap as repeated granted ones and a cached request
@@ -85,8 +85,6 @@ class PlanCache {
   /// evicted as stale — an older stamp may have missed an intervening
   /// edit's delta. Returns the number retained.
   std::size_t AdvanceEpoch(std::uint64_t epoch, const IdSet& changed_relations);
-
-  void Clear();
 
   std::size_t size() const;
   std::uint64_t hits() const noexcept {

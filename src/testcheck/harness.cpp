@@ -352,7 +352,6 @@ Result<CheckReport> CheckScenario(const Scenario& s,
     serve_options.max_orders = options.max_orders;
     serve_options.planning_threads = 1;
     serve_options.chase.max_path_atoms = options.chase_max_path_atoms;
-    serve_options.chase.threads = 1;
     serve::FrontDoor door(cat, s.auths, cluster, &stats, serve_options);
     serve::Request request;
     request.sql = s.query.ToString(cat);
@@ -423,7 +422,6 @@ Result<CheckReport> CheckScenario(const Scenario& s,
     serve_options.max_orders = options.max_orders;
     serve_options.planning_threads = 1;
     serve_options.chase.max_path_atoms = options.chase_max_path_atoms;
-    serve_options.chase.threads = 1;
     serve::FrontDoor inc_door(cat, s.auths, cluster, &stats, serve_options);
     authz::AuthorizationSet oracle_base = s.auths;
 

@@ -117,15 +117,13 @@ Result<planner::PlanSearchResult> PerOrderPlanSearch(
   const planner::FeasiblePlanSearch search(cat, policy, stats);
   CISQP_ASSIGN_OR_RETURN(const std::vector<plan::QuerySpec> orders,
                          search.EnumerateOrders(spec, options.max_orders));
-  plan::BuildOptions build_options = options.build_options;
-  build_options.join_order = plan::JoinOrderPolicy::kFromClause;
   const plan::PlanBuilder builder(cat, stats);
   const planner::SafePlanner planner(cat, policy, options.planner_options);
   const planner::MinCostSafePlanner coster(cat, policy, stats);
   std::optional<planner::PlanSearchResult> best;
   std::size_t feasible = 0;
   for (const plan::QuerySpec& order : orders) {
-    Result<plan::QueryPlan> built = builder.Build(order, build_options);
+    Result<plan::QueryPlan> built = builder.Build(order);
     if (!built.ok()) continue;
     CISQP_ASSIGN_OR_RETURN(planner::PlanningReport report,
                            planner.Analyze(*built));

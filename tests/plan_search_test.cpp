@@ -64,6 +64,21 @@ TEST_F(PlanSearchTest, FindsTheFeasibleOrderOfThePaperQuery) {
                              result.safe_plan.assignment));
 }
 
+TEST_F(PlanSearchTest, SearchedPlanKeepsDistinct) {
+  ASSERT_OK_AND_ASSIGN(
+      plan::QuerySpec spec,
+      sql::ParseAndBind(fix_.cat,
+                        "SELECT DISTINCT Plan FROM Insurance JOIN Nat_registry "
+                        "ON Holder = Citizen"));
+  FeasiblePlanSearch search(fix_.cat, fix_.auths);
+  ASSERT_OK_AND_ASSIGN(std::vector<plan::QuerySpec> orders,
+                       search.EnumerateOrders(spec, 100));
+  for (const plan::QuerySpec& order : orders) EXPECT_TRUE(order.distinct);
+  ASSERT_OK_AND_ASSIGN(PlanSearchResult result, search.Search(spec));
+  ASSERT_EQ(result.plan.root()->op, plan::PlanOp::kProject);
+  EXPECT_TRUE(result.plan.root()->distinct);
+}
+
 TEST_F(PlanSearchTest, RescuesAnInfeasibleFromOrder) {
   // Build a 3-relation chain A—B—C where only the order starting at C leads
   // to a feasible plan: sC may view everything stepwise, while joining A⋈B

@@ -116,21 +116,6 @@ TEST_F(PlanTest, SelectionStaysAtJoinWhenCrossRelation) {
   EXPECT_EQ(root->left->left->op, PlanOp::kJoin);
 }
 
-TEST_F(PlanTest, NoPushdownOptionsKeepSelectionAtRoot) {
-  ASSERT_OK_AND_ASSIGN(
-      QuerySpec spec,
-      sql::ParseAndBind(fix_.cat, "SELECT Patient FROM Hospital WHERE "
-                                  "Physician = 'dr_a'"));
-  BuildOptions options;
-  options.push_selections = false;
-  options.push_projections = false;
-  ASSERT_OK_AND_ASSIGN(QueryPlan plan, PlanBuilder(fix_.cat).Build(spec, options));
-  ASSERT_OK(plan.Validate(fix_.cat));
-  ASSERT_EQ(plan.root()->op, PlanOp::kProject);
-  EXPECT_EQ(plan.root()->left->op, PlanOp::kSelect);
-  EXPECT_EQ(plan.root()->left->left->op, PlanOp::kRelation);
-}
-
 TEST_F(PlanTest, SingleRelationQuery) {
   ASSERT_OK_AND_ASSIGN(QuerySpec spec,
                        sql::ParseAndBind(fix_.cat, "SELECT Plan FROM Insurance"));
@@ -262,14 +247,14 @@ TEST_F(PlanTest, StatsFromTableAreExact) {
 
 /// Finish over the bare left-deep join tree of `spec`: the whole-tree WHERE
 /// placement and projection pushdown that Build's fold must reproduce.
-Result<QueryPlan> FinishLeftDeep(const catalog::Catalog& cat, const QuerySpec& spec,
-                                 const BuildOptions& options) {
+Result<QueryPlan> FinishLeftDeep(const catalog::Catalog& cat,
+                                 const QuerySpec& spec) {
   std::unique_ptr<PlanNode> root = PlanNode::Relation(spec.first_relation);
   for (const JoinStep& step : spec.joins) {
     root = PlanNode::Join(std::move(root), PlanNode::Relation(step.relation),
                           step.atoms);
   }
-  return PlanBuilder(cat).Finish(std::move(root), spec, options);
+  return PlanBuilder(cat).Finish(std::move(root), spec);
 }
 
 void ExpectSameNodes(const catalog::Catalog& cat, const PlanNode* a,
@@ -325,8 +310,8 @@ QuerySpec WithCrossConjuncts(const catalog::Catalog& cat, QuerySpec spec, Rng& r
 }
 
 /// Build(order) must equal Finish over the same join tree, node for node,
-/// for every connected order of `spec`, under every pushdown option and
-/// with and without DISTINCT. Returns the number of plans compared.
+/// for every connected order of `spec`, with and without DISTINCT. Returns
+/// the number of plans compared.
 std::size_t ExpectStepwiseMatchesFinish(const catalog::Catalog& cat,
                                         const QuerySpec& spec) {
   const authz::AuthorizationSet none;
@@ -338,22 +323,15 @@ std::size_t ExpectStepwiseMatchesFinish(const catalog::Catalog& cat,
   for (QuerySpec order : *orders) {
     for (const bool distinct : {false, true}) {
       order.distinct = distinct;
-      for (const bool push_selections : {true, false}) {
-        for (const bool push_projections : {true, false}) {
-          BuildOptions options;
-          options.push_selections = push_selections;
-          options.push_projections = push_projections;
-          const Result<QueryPlan> stepwise = PlanBuilder(cat).Build(order, options);
-          const Result<QueryPlan> whole = FinishLeftDeep(cat, order, options);
-          EXPECT_OK(stepwise.status());
-          EXPECT_OK(whole.status());
-          if (!stepwise.ok() || !whole.ok()) continue;
-          EXPECT_EQ(stepwise->ToString(cat), whole->ToString(cat))
-              << order.ToString(cat);
-          ExpectSameNodes(cat, stepwise->root(), whole->root());
-          ++compared;
-        }
-      }
+      const Result<QueryPlan> stepwise = PlanBuilder(cat).Build(order);
+      const Result<QueryPlan> whole = FinishLeftDeep(cat, order);
+      EXPECT_OK(stepwise.status());
+      EXPECT_OK(whole.status());
+      if (!stepwise.ok() || !whole.ok()) continue;
+      EXPECT_EQ(stepwise->ToString(cat), whole->ToString(cat))
+          << order.ToString(cat);
+      ExpectSameNodes(cat, stepwise->root(), whole->root());
+      ++compared;
     }
   }
   return compared;
@@ -423,7 +401,7 @@ TEST_F(PlanTest, CrossConjunctCapturesLaterSingleRelationConjuncts) {
                         "SELECT Plan, HealthAid FROM Insurance JOIN Nat_registry "
                         "ON Holder = Citizen WHERE Holder < Citizen AND Holder > 5"));
   ASSERT_OK_AND_ASSIGN(QueryPlan plan, PlanBuilder(fix_.cat).Build(spec));
-  ASSERT_OK_AND_ASSIGN(QueryPlan whole, FinishLeftDeep(fix_.cat, spec, {}));
+  ASSERT_OK_AND_ASSIGN(QueryPlan whole, FinishLeftDeep(fix_.cat, spec));
   EXPECT_EQ(plan.ToString(fix_.cat), whole.ToString(fix_.cat));
   const PlanNode* select = plan.root()->left.get();
   ASSERT_EQ(select->op, PlanOp::kSelect);

@@ -1,10 +1,11 @@
 // Tests for the serving front door (src/serve): cold/cached byte-identity,
 // the admission scheduler, 32-client concurrency on the shared executor
 // pool (runs under TSan in CI), policy-epoch invalidation exactness, the
-// CanView memo, and the executor's shared-pool regression guard (one pool
-// construction across many concurrent parallel executions).
+// CanView memo, the chase cap, and the executor's shared-pool regression
+// guard (one pool construction across many concurrent parallel executions).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -252,7 +253,7 @@ TEST_F(ServingTest, PolicyEpochBumpInvalidatesExactlyTheCachedEntries) {
   EXPECT_TRUE(TablesIdentical(ins_cold.table, ins_rewarm.table));
 }
 
-TEST_F(ServingTest, CanViewMemoHitsAndEpochBump) {
+TEST_F(ServingTest, CanViewMemoHitReturnsTheColdExplanation) {
   authz::CachingPolicy memo(fix_.auths);
   const plan::QueryPlan plan = fix_.PaperPlan();
   const std::vector<authz::Profile> profiles =
@@ -272,12 +273,6 @@ TEST_F(ServingTest, CanViewMemoHitsAndEpochBump) {
   EXPECT_EQ(cold.reason, warm.reason);
   EXPECT_EQ(cold.matched_attributes, warm.matched_attributes);
   EXPECT_EQ(cold.missing_attributes, warm.missing_attributes);
-
-  memo.BumpEpoch();
-  EXPECT_EQ(memo.epoch(), 1u);
-  EXPECT_EQ(memo.size(), 0u);
-  (void)memo.CanView(profiles[0], insurance);
-  EXPECT_EQ(memo.misses(), 2u) << "a bump must invalidate the memo";
 }
 
 TEST_F(ServingTest, IncrementalEditMatchesFromScratchDoor) {
@@ -319,6 +314,81 @@ TEST_F(ServingTest, IncrementalEditMatchesFromScratchDoor) {
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
   EXPECT_EQ(door.policy_epoch(), 2u);
+}
+
+TEST_F(ServingTest, ChaseCapServesRawRulesUntilAnEditFitsUnderIt) {
+  // The Fig. 3 chase derives 6 rules, and 5 without rule 2 (S_I's view of
+  // Insurance⋈Hospital). Under a cap of 5 the door serves the raw rules,
+  // then the closure once a revoke fits it under the cap, then the raw
+  // rules again once a grant trips the cap in the middle of the edit —
+  // rules that keep the grant, so revoking it once more fits again.
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Get();
+  metrics.Enable();
+  const std::uint64_t capped_before = metrics.Counter("serve.chase_capped");
+  ServeOptions options;
+  options.chase.max_derived_rules = 5;
+  FrontDoor door = MakeDoor(options);
+  // Feasible only through a derived S_H rule.
+  Request probe = Req(
+      "SELECT Holder, Plan, Patient, Disease, Citizen, HealthAid FROM "
+      "Insurance JOIN Hospital ON Holder = Patient JOIN Nat_registry ON "
+      "Patient = Citizen");
+  probe.requestor = testing::Server(fix_.cat, "S_H");
+
+  const Result<Response> capped = door.Serve(probe);
+  ASSERT_FALSE(capped.ok());
+  EXPECT_EQ(capped.status().code(), StatusCode::kInfeasible);
+  EXPECT_EQ(metrics.Counter("serve.chase_capped"), capped_before + 1);
+
+  const authz::Authorization rule2{
+      testing::Attrs(fix_.cat, {"Holder", "Plan", "Patient", "Physician"}),
+      testing::Path(fix_.cat, {{"Holder", "Patient"}}),
+      testing::Server(fix_.cat, "S_I")};
+  ASSERT_OK_AND_ASSIGN(const authz::ClosureDelta revoked,
+                       door.RevokeRule(rule2));
+  EXPECT_TRUE(revoked.full) << "every capped edit sweeps in full";
+  EXPECT_EQ(door.policy_epoch(), 1u);
+  authz::AuthorizationSet without_rule2 = fix_.auths;
+  ASSERT_OK(without_rule2.Remove(fix_.cat, rule2));
+  FrontDoor uncapped(fix_.cat, without_rule2, *cluster_, &stats_);
+  ASSERT_OK_AND_ASSIGN(const Response fits, door.Serve(probe));
+  ASSERT_OK_AND_ASSIGN(const Response want, uncapped.Serve(probe));
+  EXPECT_EQ(fits.policy_epoch, 1u);
+  EXPECT_TRUE(TablesIdentical(fits.table, want.table));
+
+  ASSERT_OK_AND_ASSIGN(const authz::ClosureDelta granted, door.AddRule(rule2));
+  EXPECT_TRUE(granted.full) << "the cap trips in the middle of the edit";
+  EXPECT_EQ(door.policy_epoch(), 2u);
+  const Result<Response> capped_again = door.Serve(probe);
+  ASSERT_FALSE(capped_again.ok());
+  EXPECT_EQ(capped_again.status().code(), StatusCode::kInfeasible);
+  EXPECT_EQ(metrics.Counter("serve.chase_capped"), capped_before + 2);
+
+  ASSERT_OK(door.RevokeRule(rule2).status());
+  ASSERT_OK_AND_ASSIGN(const Response fits_again, door.Serve(probe));
+  EXPECT_EQ(fits_again.policy_epoch, 3u);
+  EXPECT_TRUE(TablesIdentical(fits_again.table, want.table));
+}
+
+TEST_F(ServingTest, DistinctQueryServesItsDuplicateFreeAnswer) {
+  // The searched plan must keep SELECT DISTINCT's duplicate-eliminating π.
+  const std::string distinct_sql =
+      "SELECT DISTINCT Plan FROM Insurance JOIN Nat_registry ON Holder = "
+      "Citizen";
+  FrontDoor door = MakeDoor();
+  ASSERT_OK_AND_ASSIGN(const Response served, door.Serve(Req(distinct_sql)));
+  const storage::Table sorted = served.table.Canonicalized();
+  EXPECT_TRUE(std::adjacent_find(sorted.rows().begin(), sorted.rows().end()) ==
+              sorted.rows().end())
+      << "duplicate rows in a DISTINCT answer";
+
+  ASSERT_OK_AND_ASSIGN(const plan::QuerySpec spec,
+                       sql::ParseAndBind(fix_.cat, distinct_sql));
+  ASSERT_OK_AND_ASSIGN(const plan::QueryPlan plan,
+                       plan::PlanBuilder(fix_.cat).Build(spec));
+  ASSERT_OK_AND_ASSIGN(const storage::Table want,
+                       exec::ExecuteCentralized(*cluster_, plan));
+  EXPECT_TRUE(storage::Table::SameRowMultiset(served.table, want));
 }
 
 TEST_F(ServingTest, DisjointEditRetainsPlanCacheAcrossTheEpochBump) {
