@@ -10,7 +10,6 @@
 
 #include <chrono>
 
-#include "plan/dp_optimizer.hpp"
 #include "planner/plan_search.hpp"
 #include "workload/generator.hpp"
 
@@ -192,43 +191,6 @@ void BM_EnumerateOrders(benchmark::State& state) {
   state.counters["orders"] = static_cast<double>(orders);
 }
 BENCHMARK(BM_EnumerateOrders)->Arg(3)->Arg(5)->Arg(7);
-
-/// Step-1 optimizer comparison: exact DP vs greedy ordering cost and time.
-void BM_DpOptimizer(benchmark::State& state) {
-  Rng rng(6466);
-  workload::FederationConfig fed_config;
-  fed_config.relations = 10;
-  fed_config.extra_edge_prob = 0.4;
-  const workload::Federation fed = workload::GenerateFederation(fed_config, rng);
-  exec::Cluster cluster(fed.catalog);
-  UnwrapStatus(workload::PopulateCluster(cluster, fed, {}, rng), "populate");
-  const plan::StatsCatalog stats = workload::ComputeStats(cluster);
-  workload::QueryConfig query_config;
-  query_config.relations = static_cast<std::size_t>(state.range(0));
-  query_config.where_prob = 0.0;
-  const auto spec =
-      Unwrap(workload::GenerateQuery(fed.catalog, query_config, rng), "query");
-  double dp_cost = 0;
-  for (auto _ : state) {
-    auto result = plan::OptimizeJoinOrder(fed.catalog, &stats, spec);
-    if (result.ok()) dp_cost = result->estimated_cost;
-    benchmark::DoNotOptimize(result);
-  }
-  // Greedy cost under the same estimator for context.
-  plan::BuildOptions greedy_options;
-  greedy_options.join_order = plan::JoinOrderPolicy::kGreedyCost;
-  plan::PlanBuilder builder(fed.catalog, &stats);
-  const auto greedy = builder.Build(spec, greedy_options);
-  double greedy_cost = 0;
-  if (greedy.ok()) {
-    greedy->ForEachPreOrder([&](const plan::PlanNode& n) {
-      if (n.op == plan::PlanOp::kJoin) greedy_cost += builder.EstimateCardinality(n);
-    });
-  }
-  state.counters["dp_cost"] = dp_cost;
-  state.counters["greedy_cost"] = greedy_cost;
-}
-BENCHMARK(BM_DpOptimizer)->Arg(4)->Arg(6)->Arg(8);
 
 }  // namespace
 }  // namespace cisqp::bench

@@ -14,7 +14,6 @@
 
 #include "exec/executor.hpp"
 #include "exec/explain.hpp"
-#include "plan/dp_optimizer.hpp"
 #include "planner/plan_search.hpp"
 
 namespace cisqp::bench {
@@ -89,21 +88,8 @@ void PrintFeedbackTable() {
 
   const RoundResult first = run_round(nullptr);
   const std::size_t harvested =
-      plan::HarvestActualCardinalities(cat, first.plan, first.profile, feedback);
+      plan::HarvestActualCardinalities(first.plan, first.profile, feedback);
   const RoundResult second = run_round(&feedback);
-
-  // The DP optimizer consults the same store: report how far the corrected
-  // subset cardinalities move its cost estimate for the optimal tree.
-  plan::DpOptimizerOptions dp_options;
-  const double dp_model_cost =
-      Unwrap(plan::OptimizeJoinOrder(cat, nullptr, spec, dp_options),
-             "dp model")
-          .estimated_cost;
-  dp_options.feedback = &feedback;
-  const double dp_measured_cost =
-      Unwrap(plan::OptimizeJoinOrder(cat, nullptr, spec, dp_options),
-             "dp measured")
-          .estimated_cost;
 
   const bool plan_changed =
       first.plan.ToString(cat) != second.plan.ToString(cat);
@@ -115,10 +101,9 @@ void PrintFeedbackTable() {
               first.estimated_bytes, 0);
   std::printf("%-8d %-12.3f %-16.0f %-14zu\n", 2, second.drift,
               second.estimated_bytes, feedback.size());
-  std::printf("\nharvested %zu signature(s); DP estimated cost %.0f (model) "
-              "-> %.0f (measured); plan %s; drift %s (%.3f -> %.3f)\n",
-              harvested, dp_model_cost, dp_measured_cost,
-              plan_changed ? "CHANGED" : "unchanged",
+  std::printf("\nharvested %zu signature(s); plan %s; drift %s "
+              "(%.3f -> %.3f)\n",
+              harvested, plan_changed ? "CHANGED" : "unchanged",
               drift_reduced ? "REDUCED" : "NOT reduced", first.drift,
               second.drift);
   if (!drift_reduced && !plan_changed) {
@@ -139,8 +124,6 @@ void PrintFeedbackTable() {
       .Value("harvested", harvested)
       .Value("plan_changed", plan_changed)
       .Value("drift_reduced", drift_reduced)
-      .Value("dp_cost_model", dp_model_cost)
-      .Value("dp_cost_measured", dp_measured_cost)
       .Json("sample_profile", second.profile.ToJson());
   artifact.Write();
   std::printf("\n");
@@ -192,7 +175,7 @@ void BM_HarvestCardinalities(benchmark::State& state) {
   for (auto _ : state) {
     plan::StatsFeedback feedback;
     benchmark::DoNotOptimize(
-        plan::HarvestActualCardinalities(cat, plan, profile, feedback));
+        plan::HarvestActualCardinalities(plan, profile, feedback));
   }
 }
 BENCHMARK(BM_HarvestCardinalities);

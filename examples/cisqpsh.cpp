@@ -334,7 +334,7 @@ class Shell {
                                             &profile)
                             .c_str());
       const std::size_t harvested =
-          plan::HarvestActualCardinalities(cat_, plan, profile, feedback_);
+          plan::HarvestActualCardinalities(plan, profile, feedback_);
       std::printf("%zu cardinality(ies) fed back (%zu in the session store)\n",
                   harvested, feedback_.size());
     });

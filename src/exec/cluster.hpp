@@ -7,7 +7,6 @@
 
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "catalog/catalog.hpp"
@@ -18,8 +17,8 @@ namespace cisqp::exec {
 
 class Cluster {
  public:
-  explicit Cluster(const catalog::Catalog& cat)
-      : cat_(cat), tables_(cat.relation_count()), columnar_(cat.relation_count()) {}
+  /// Starts every relation as an empty, correctly headed table.
+  explicit Cluster(const catalog::Catalog& cat);
 
   const catalog::Catalog& catalog() const noexcept { return cat_; }
 
@@ -27,7 +26,7 @@ class Cluster {
   /// the relation's attributes in declaration order.
   Status LoadTable(catalog::RelationId rel, storage::Table table);
 
-  /// Appends one row to `rel`'s table (creating an empty one on first use).
+  /// Appends one row to `rel`'s table.
   Status InsertRow(catalog::RelationId rel, storage::Row row);
 
   /// The instance of `rel`; an empty correctly-headed table when never loaded.
@@ -38,18 +37,12 @@ class Cluster {
   std::shared_ptr<const storage::ColumnarTable> ColumnarOf(
       catalog::RelationId rel) const;
 
-  /// True iff `rel` currently has at least one row.
-  bool HasData(catalog::RelationId rel) const {
-    return rel < tables_.size() && tables_[rel].has_value() &&
-           !tables_[rel]->empty();
-  }
-
  private:
   const catalog::Catalog& cat_;
-  mutable std::vector<std::optional<storage::Table>> tables_;
-  /// Lazily-built columnar views of tables_, guarded for the parallel plan
-  /// search which evaluates candidate plans from worker threads. The mutex
-  /// lives behind a pointer so Cluster stays movable.
+  std::vector<storage::Table> tables_;
+  /// Lazily-built columnar views of tables_, guarded for concurrent
+  /// executions that scan the same relation. The mutex lives behind a
+  /// pointer so Cluster stays movable.
   mutable std::unique_ptr<std::mutex> columnar_mu_ =
       std::make_unique<std::mutex>();
   mutable std::vector<std::shared_ptr<const storage::ColumnarTable>> columnar_;

@@ -1,101 +1,12 @@
 #include "plan/builder.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace cisqp::plan {
 namespace {
-
-/// Undirected view of one equi-join atom for reordering.
-struct AtomEdge {
-  catalog::AttributeId a = catalog::kInvalidId;  // attribute of rel_a
-  catalog::AttributeId b = catalog::kInvalidId;  // attribute of rel_b
-  catalog::RelationId rel_a = catalog::kInvalidId;
-  catalog::RelationId rel_b = catalog::kInvalidId;
-};
-
-std::vector<AtomEdge> CollectEdges(const catalog::Catalog& cat,
-                                   const QuerySpec& spec) {
-  std::vector<AtomEdge> edges;
-  for (const JoinStep& step : spec.joins) {
-    for (const algebra::EquiJoinAtom& atom : step.atoms) {
-      edges.push_back(AtomEdge{atom.left, atom.right,
-                               cat.attribute(atom.left).relation,
-                               cat.attribute(atom.right).relation});
-    }
-  }
-  return edges;
-}
-
-/// Greedy left-deep ordering: start from the smallest relation, repeatedly
-/// absorb the connected relation minimizing the estimated intermediate
-/// cardinality. Returns steps with atoms oriented prefix→new.
-Result<std::pair<catalog::RelationId, std::vector<JoinStep>>> GreedyOrder(
-    const catalog::Catalog& cat, const StatsCatalog* stats,
-    const QuerySpec& spec) {
-  const auto rows_of = [&](catalog::RelationId rel) {
-    return stats != nullptr ? stats->Of(rel).rows : RelationStats{}.rows;
-  };
-  const auto distinct_of = [&](catalog::AttributeId attr) {
-    const catalog::RelationId rel = cat.attribute(attr).relation;
-    return stats != nullptr ? stats->Of(rel).DistinctOf(attr)
-                            : RelationStats{}.DistinctOf(attr);
-  };
-
-  const std::vector<catalog::RelationId> relations = spec.Relations();
-  const std::vector<AtomEdge> edges = CollectEdges(cat, spec);
-
-  catalog::RelationId start = relations.front();
-  for (catalog::RelationId rel : relations) {
-    if (rows_of(rel) < rows_of(start)) start = rel;
-  }
-
-  IdSet placed;
-  placed.Insert(start);
-  double prefix_card = rows_of(start);
-  std::vector<JoinStep> steps;
-
-  while (placed.size() < relations.size()) {
-    catalog::RelationId best = catalog::kInvalidId;
-    double best_card = std::numeric_limits<double>::infinity();
-    std::vector<algebra::EquiJoinAtom> best_atoms;
-    for (catalog::RelationId cand : relations) {
-      if (placed.Contains(cand)) continue;
-      // Atoms connecting cand to the placed prefix, oriented prefix→cand.
-      std::vector<algebra::EquiJoinAtom> atoms;
-      double selectivity = 1.0;
-      for (const AtomEdge& e : edges) {
-        if (e.rel_b == cand && placed.Contains(e.rel_a)) {
-          atoms.push_back(algebra::EquiJoinAtom{e.a, e.b});
-        } else if (e.rel_a == cand && placed.Contains(e.rel_b)) {
-          atoms.push_back(algebra::EquiJoinAtom{e.b, e.a});
-        } else {
-          continue;
-        }
-        selectivity /= std::max({distinct_of(e.a), distinct_of(e.b), 1.0});
-      }
-      if (atoms.empty()) continue;  // not yet connected
-      const double card = prefix_card * rows_of(cand) * selectivity;
-      if (card < best_card ||
-          (card == best_card && best != catalog::kInvalidId && cand < best)) {
-        best = cand;
-        best_card = card;
-        best_atoms = std::move(atoms);
-      }
-    }
-    if (best == catalog::kInvalidId) {
-      return InvalidArgumentError(
-          "query join graph is disconnected; cross joins are out of model");
-    }
-    steps.push_back(JoinStep{best, std::move(best_atoms)});
-    placed.Insert(best);
-    prefix_card = best_card;
-  }
-  return std::make_pair(start, std::move(steps));
-}
 
 /// Wraps `node` in a selection with `c`, merging into an existing top select.
 std::unique_ptr<PlanNode> WrapSelect(std::unique_ptr<PlanNode> node,
@@ -302,28 +213,18 @@ Result<QueryPlan> LeftDeepBuilder::Complete(
   return plan;
 }
 
-Result<QueryPlan> PlanBuilder::Build(const QuerySpec& spec,
-                                     const BuildOptions& options) const {
+Result<QueryPlan> PlanBuilder::Build(const QuerySpec& spec) const {
   CISQP_TRACE_SPAN(span, "plan.build");
   span.AddAttribute("relations", spec.Relations().size());
   CISQP_METRIC_INC("plan.builds");
   CISQP_RETURN_IF_ERROR(spec.Validate(cat_));
 
-  catalog::RelationId first = spec.first_relation;
-  std::vector<JoinStep> steps = spec.joins;
-  if (options.join_order == JoinOrderPolicy::kGreedyCost && !spec.joins.empty()) {
-    CISQP_ASSIGN_OR_RETURN(auto ordered, GreedyOrder(cat_, stats_, spec));
-    first = ordered.first;
-    steps = std::move(ordered.second);
-  }
-
   const LeftDeepBuilder left_deep(cat_, spec);
-  std::unique_ptr<PlanNode> root = left_deep.Start(first);
-  IdSet placed{first};
-  for (JoinStep& step : steps) {
-    const catalog::RelationId rel = step.relation;
-    root = left_deep.Extend(std::move(root), placed, std::move(step));
-    placed.Insert(rel);
+  std::unique_ptr<PlanNode> root = left_deep.Start(spec.first_relation);
+  IdSet placed{spec.first_relation};
+  for (const JoinStep& step : spec.joins) {
+    root = left_deep.Extend(std::move(root), placed, step);
+    placed.Insert(step.relation);
   }
   return left_deep.Complete(std::move(root));
 }
@@ -364,7 +265,7 @@ double PlanBuilder::EstimateCardinality(const PlanNode& node) const {
   // from its child (whose recursion consults the feedback itself).
   if (feedback_ != nullptr && node.op != PlanOp::kProject) {
     if (const std::optional<double> measured =
-            feedback_->Lookup(SubtreeSignature(cat_, node))) {
+            feedback_->Lookup(SubtreeSignature(node))) {
       return *measured;
     }
   }

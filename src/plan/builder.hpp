@@ -1,12 +1,12 @@
 // PlanBuilder: QuerySpec → query tree plan (step one of the two-step
 // distributed optimization the paper integrates with, §5 end).
 //
-// Builds a left-deep join tree, places WHERE conjuncts at the lowest node
-// that produces their attributes, pushes projections down so every subtree
-// carries only the attributes needed above it (paper §2: "projections are
-// pushed down ... also important for security purposes, as it discloses only
-// the attributes needed"), and optionally reorders joins greedily by
-// estimated intermediate cardinality.
+// Builds the left-deep join tree of the spec's join order, places WHERE
+// conjuncts at the lowest node that produces their attributes, and pushes
+// projections down so every subtree carries only the attributes needed above
+// it (paper §2: "projections are pushed down ... also important for security
+// purposes, as it discloses only the attributes needed"). The builder never
+// chooses an order; FeasiblePlanSearch does.
 #pragma once
 
 #include <memory>
@@ -17,15 +17,6 @@
 #include "plan/stats.hpp"
 
 namespace cisqp::plan {
-
-enum class JoinOrderPolicy : std::uint8_t {
-  kFromClause,  ///< keep the FROM-clause order (paper examples use this)
-  kGreedyCost,  ///< greedy smallest-intermediate-result order using stats
-};
-
-struct BuildOptions {
-  JoinOrderPolicy join_order = JoinOrderPolicy::kFromClause;
-};
 
 /// Left-deep construction one relation at a time (DESIGN.md §17). For a
 /// left-deep tree every choice `PlanBuilder::Finish` makes is local to a
@@ -79,16 +70,14 @@ class PlanBuilder {
                        const StatsFeedback* feedback = nullptr)
       : cat_(cat), stats_(stats), feedback_(feedback) {}
 
-  /// Builds and validates a left-deep plan for `spec` by folding
-  /// LeftDeepBuilder::Extend over its join order. Fails when the spec is
-  /// invalid or (under kGreedyCost) when its join graph is disconnected.
-  Result<QueryPlan> Build(const QuerySpec& spec,
-                          const BuildOptions& options = {}) const;
+  /// Builds and validates the left-deep plan of `spec`'s join order by
+  /// folding LeftDeepBuilder::Extend over it. Fails when the spec is invalid.
+  Result<QueryPlan> Build(const QuerySpec& spec) const;
 
   /// Finishes an externally built join tree (scans + joins covering exactly
-  /// the relations of `spec`, any shape — e.g. the bushy trees of the DP
-  /// optimizer): places WHERE conjuncts, pushes projections, adds the final
-  /// π, renumbers and validates.
+  /// the relations of `spec`, any shape, bushy included): places WHERE
+  /// conjuncts, pushes projections, adds the final π, renumbers and
+  /// validates. The reference the left-deep fold is tested against.
   Result<QueryPlan> Finish(std::unique_ptr<PlanNode> join_tree,
                            const QuerySpec& spec) const;
 

@@ -6,7 +6,6 @@
 
 #include "obs/profile.hpp"
 #include "plan/plan_node.hpp"
-#include "plan/query_spec.hpp"
 
 namespace cisqp::plan {
 
@@ -38,7 +37,7 @@ std::optional<double> StatsFeedback::Lookup(std::string_view signature) const {
 namespace {
 
 /// Tokens use attribute/relation ids, not names: ids are stable within one
-/// catalog, and both signature functions always see the same catalog.
+/// catalog, and a feedback store is only ever filled and read against one.
 std::string ConjunctToken(const algebra::Comparison& c) {
   std::string token = "s";
   token += std::to_string(c.lhs);
@@ -51,8 +50,8 @@ std::string ConjunctToken(const algebra::Comparison& c) {
   return token;
 }
 
-/// Equality is symmetric, and the DP rebuild may flip an atom's orientation
-/// relative to the spec — normalize to (low id, high id).
+/// Equality is symmetric, and a reordered join order flips an atom's
+/// orientation relative to the spec — normalize to (low id, high id).
 std::string AtomToken(const algebra::EquiJoinAtom& atom) {
   const catalog::AttributeId lo = std::min(atom.left, atom.right);
   const catalog::AttributeId hi = std::max(atom.left, atom.right);
@@ -112,9 +111,7 @@ void CollectSubtree(const PlanNode& node, std::vector<std::string>& relations,
 
 }  // namespace
 
-std::string SubtreeSignature(const catalog::Catalog& cat,
-                             const PlanNode& node) {
-  (void)cat;  // ids are already canonical; kept for signature symmetry
+std::string SubtreeSignature(const PlanNode& node) {
   std::vector<std::string> relations;
   std::vector<std::string> conjuncts;
   std::vector<std::string> atoms;
@@ -122,40 +119,7 @@ std::string SubtreeSignature(const catalog::Catalog& cat,
   return Assemble(std::move(relations), std::move(conjuncts), std::move(atoms));
 }
 
-std::string SpecSubsetSignature(
-    const catalog::Catalog& cat, const QuerySpec& spec,
-    const std::vector<catalog::RelationId>& subset) {
-  const auto contains = [&](catalog::RelationId rel) {
-    return std::find(subset.begin(), subset.end(), rel) != subset.end();
-  };
-  std::vector<std::string> relations;
-  relations.reserve(subset.size());
-  for (const catalog::RelationId rel : subset) {
-    relations.push_back("r" + std::to_string(rel));
-  }
-  std::vector<std::string> conjuncts;
-  for (const algebra::Comparison& c : spec.where.conjuncts()) {
-    if (!contains(cat.attribute(c.lhs).relation)) continue;
-    if (c.rhs_is_attribute() &&
-        !contains(cat.attribute(std::get<catalog::AttributeId>(c.rhs)).relation)) {
-      continue;
-    }
-    conjuncts.push_back(ConjunctToken(c));
-  }
-  std::vector<std::string> atoms;
-  for (const JoinStep& step : spec.joins) {
-    for (const algebra::EquiJoinAtom& atom : step.atoms) {
-      if (contains(cat.attribute(atom.left).relation) &&
-          contains(cat.attribute(atom.right).relation)) {
-        atoms.push_back(AtomToken(atom));
-      }
-    }
-  }
-  return Assemble(std::move(relations), std::move(conjuncts), std::move(atoms));
-}
-
-std::size_t HarvestActualCardinalities(const catalog::Catalog& cat,
-                                       const QueryPlan& plan,
+std::size_t HarvestActualCardinalities(const QueryPlan& plan,
                                        const obs::QueryProfile& profile,
                                        StatsFeedback& feedback) {
   std::size_t recorded = 0;
@@ -164,7 +128,7 @@ std::size_t HarvestActualCardinalities(const catalog::Catalog& cat,
     if (node.op == PlanOp::kProject) return;
     const obs::OperatorStats* stats = profile.FindOp(node.id);
     if (stats == nullptr || stats->invocations == 0) return;
-    std::string signature = SubtreeSignature(cat, node);
+    std::string signature = SubtreeSignature(node);
     if (!seen.insert(signature).second) return;
     // Failover may run an operator more than once; feed back the per-run
     // average so re-executions do not inflate the cardinality.

@@ -1,19 +1,16 @@
-// Cardinality statistics for the join-order optimizer (two-step optimization,
-// paper §5 end: "First, the query optimizer identifies a good plan; second,
-// it assigns operations to the servers"). Step one needs estimates; this is
-// the textbook System-R style model: per-relation row counts and per-column
+// Cardinality statistics for planning (two-step optimization, paper §5 end:
+// "First, the query optimizer identifies a good plan; second, it assigns
+// operations to the servers"). Plan costs need estimates; this is the
+// textbook System-R style model: per-relation row counts and per-column
 // distinct counts, uniformity and independence assumed.
 //
 // The StatsFeedback store below closes the estimate→execute loop (DESIGN.md
 // §13): a profiled execution harvests each operator's *actual* cardinality
-// keyed by its (relation set, predicate signature), and the next planning of
-// the same shape — PlanBuilder estimates, DP subset enumeration — prefers
-// the measured value over the model. The two signature functions are built
-// to coincide: the pushdown invariants (every WHERE conjunct sits at the
-// lowest subtree producing its attributes, every join atom inside a subtree
-// connects relations of that subtree) make the signature computed from an
-// executed plan subtree equal the one computed from the corresponding
-// relation subset of the spec.
+// keyed by its subtree signature, and every later estimate of a subtree with
+// the same signature — PlanBuilder::EstimateCardinality, which the plan
+// search's cost model calls — prefers the measured value over the model. A
+// hit needs the same relations and the same conjuncts in that subtree; a
+// plan that places a conjunct differently misses, and never hits wrongly.
 #pragma once
 
 #include <map>
@@ -33,7 +30,6 @@ namespace cisqp::plan {
 
 struct PlanNode;
 class QueryPlan;
-struct QuerySpec;
 
 /// Statistics of one relation instance.
 struct RelationStats {
@@ -95,26 +91,16 @@ class StatsFeedback {
 };
 
 /// Canonical signature of the plan subtree rooted at `node`: sorted relation
-/// names, sorted selection-conjunct tokens, sorted (normalized) join-atom
+/// ids, sorted selection-conjunct tokens, sorted (normalized) join-atom
 /// tokens. π nodes are transparent — they share their child's signature.
-std::string SubtreeSignature(const catalog::Catalog& cat, const PlanNode& node);
-
-/// The signature the subtree over exactly `subset` would have under this
-/// spec: the subset's relations, every WHERE conjunct whose attributes all
-/// live in the subset, every join atom connecting two subset relations.
-/// Equals SubtreeSignature of the corresponding executed subtree (pushdown
-/// invariants above).
-std::string SpecSubsetSignature(const catalog::Catalog& cat,
-                                const QuerySpec& spec,
-                                const std::vector<catalog::RelationId>& subset);
+std::string SubtreeSignature(const PlanNode& node);
 
 /// Harvests every profiled operator's actual cardinality from `profile` into
 /// `feedback`. π nodes are skipped (plain π preserves counts and shares its
 /// child's signature; DISTINCT π would distort it); when two nodes share a
 /// signature the topmost (pre-order first) wins. Returns the number of
 /// signatures recorded.
-std::size_t HarvestActualCardinalities(const catalog::Catalog& cat,
-                                       const QueryPlan& plan,
+std::size_t HarvestActualCardinalities(const QueryPlan& plan,
                                        const obs::QueryProfile& profile,
                                        StatsFeedback& feedback);
 

@@ -37,14 +37,7 @@ FrontDoor::FrontDoor(const catalog::Catalog& cat,
       admission_(options.max_concurrent, options.max_queue,
                  options.admission_max_wait_us),
       plan_cache_(options.plan_cache_capacity),
-      raw_(std::move(auths)) {
-  // Cluster::TableOf materializes a relation's empty table lazily and
-  // without synchronization; touch every relation now, before concurrent
-  // requests exist, so the serving path only ever reads.
-  for (std::size_t rel = 0; rel < cat_.relation_count(); ++rel) {
-    (void)cluster_.TableOf(static_cast<catalog::RelationId>(rel));
-  }
-}
+      raw_(std::move(auths)) {}
 
 Status FrontDoor::BuildClosureLocked() {
   // Every rule change unpublishes the state, so a published capped state

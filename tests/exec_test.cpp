@@ -2,6 +2,8 @@
 // results, communication is accounted, runtime enforcement guards transfers.
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "exec/executor.hpp"
 #include "obs/metrics.hpp"
 #include "planner/safe_planner.hpp"
@@ -50,8 +52,27 @@ TEST_F(ExecTest, ClusterValidatesLoads) {
                 .code(),
             StatusCode::kInvalidArgument);
   // Unloaded relations read as empty tables with the right header.
-  EXPECT_TRUE(cluster.TableOf(Relation(fix_.cat, "Insurance")).empty());
-  EXPECT_FALSE(cluster.HasData(Relation(fix_.cat, "Insurance")));
+  const catalog::RelationId insurance = Relation(fix_.cat, "Insurance");
+  EXPECT_TRUE(cluster.TableOf(insurance).empty());
+  EXPECT_EQ(cluster.TableOf(insurance).columns(),
+            storage::Table::ForRelation(fix_.cat, insurance).columns());
+}
+
+TEST(ClusterTest, ConcurrentColumnarReadsOfAnUnloadedRelation) {
+  // Two executions scanning a never-loaded relation at once: both read its
+  // empty table, which must already exist (run under ThreadSanitizer).
+  catalog::Catalog cat;
+  const catalog::ServerId server = cat.AddServer("S").value();
+  const catalog::RelationId rel =
+      cat.AddRelation("R", server, {{"K", catalog::ValueType::kInt64}}, {"K"})
+          .value();
+  const Cluster cluster(cat);
+  std::shared_ptr<const storage::ColumnarTable> seen[2];
+  std::thread other([&] { seen[1] = cluster.ColumnarOf(rel); });
+  seen[0] = cluster.ColumnarOf(rel);
+  other.join();
+  EXPECT_EQ(seen[0], seen[1]);
+  EXPECT_EQ(seen[0]->row_count(), 0u);
 }
 
 TEST_F(ExecTest, DistributedEqualsCentralizedOnPaperQuery) {

@@ -176,26 +176,6 @@ TEST_F(PlanTest, SpecValidateCatchesCrossJoins) {
   EXPECT_EQ(spec.Validate(fix_.cat).code(), StatusCode::kInvalidArgument);
 }
 
-TEST_F(PlanTest, GreedyJoinOrderPrefersSmallRelations) {
-  // Give Hospital far fewer rows; greedy should start from it.
-  StatsCatalog stats;
-  stats.Set(Relation(fix_.cat, "Insurance"), RelationStats{100000.0, {}});
-  stats.Set(Relation(fix_.cat, "Nat_registry"), RelationStats{50000.0, {}});
-  stats.Set(Relation(fix_.cat, "Hospital"), RelationStats{10.0, {}});
-  ASSERT_OK_AND_ASSIGN(
-      QuerySpec spec,
-      sql::ParseAndBind(fix_.cat, workload::MedicalScenario::kPaperQuery));
-  BuildOptions options;
-  options.join_order = JoinOrderPolicy::kGreedyCost;
-  ASSERT_OK_AND_ASSIGN(QueryPlan plan,
-                       PlanBuilder(fix_.cat, &stats).Build(spec, options));
-  ASSERT_OK(plan.Validate(fix_.cat));
-  // Leftmost leaf should be Hospital.
-  const PlanNode* leftmost = plan.root();
-  while (leftmost->left) leftmost = leftmost->left.get();
-  EXPECT_EQ(leftmost->relation, Relation(fix_.cat, "Hospital"));
-}
-
 TEST_F(PlanTest, CardinalityEstimates) {
   StatsCatalog stats;
   RelationStats ins{1000.0, {}};

@@ -1,10 +1,8 @@
-// Tests for the estimate feedback store: signature coincidence between
-// executed plan subtrees and optimizer relation subsets, harvesting from a
-// profiled execution, and consultation by PlanBuilder and the DP optimizer.
+// Tests for the estimate feedback store: subtree signatures, harvesting
+// from a profiled execution, and consultation by PlanBuilder.
 #include <gtest/gtest.h>
 
 #include "exec/executor.hpp"
-#include "plan/dp_optimizer.hpp"
 #include "plan/stats.hpp"
 #include "planner/safe_planner.hpp"
 #include "test_util.hpp"
@@ -13,17 +11,6 @@ namespace cisqp::plan {
 namespace {
 
 using cisqp::testing::MedicalFixture;
-
-std::vector<catalog::RelationId> SubtreeRelations(const PlanNode& node) {
-  std::vector<catalog::RelationId> out;
-  const std::function<void(const PlanNode&)> walk = [&](const PlanNode& n) {
-    if (n.op == PlanOp::kRelation) out.push_back(n.relation);
-    if (n.left != nullptr) walk(*n.left);
-    if (n.right != nullptr) walk(*n.right);
-  };
-  walk(node);
-  return out;
-}
 
 class StatsFeedbackTest : public ::testing::Test {
  protected:
@@ -42,45 +29,6 @@ TEST_F(StatsFeedbackTest, RecordAndLookup) {
   EXPECT_EQ(feedback.size(), 1u);
 }
 
-TEST_F(StatsFeedbackTest, SubtreeSignatureMatchesSpecSubsetSignature) {
-  // The coincidence the feedback loop rests on: for every MAXIMAL subtree of
-  // a built plan — the topmost node covering its relation set — the
-  // executed-plan signature equals the spec-subset signature of those
-  // relations. Non-maximal nodes (a bare relation leaf under its pushed-down
-  // σ) legitimately lack the subset's atoms, and the feedback store never
-  // looks them up: DP subset estimates always address the full shape.
-  for (const std::string_view sql :
-       {workload::MedicalScenario::kPaperQuery,
-        std::string_view(
-            "SELECT Patient, Physician FROM Hospital JOIN Disease_list "
-            "ON Disease = Illness WHERE Treatment = 'chemo' AND "
-            "Physician = 'p1'")}) {
-    ASSERT_OK_AND_ASSIGN(const QuerySpec spec,
-                         sql::ParseAndBind(fix_.cat, sql));
-    ASSERT_OK_AND_ASSIGN(const QueryPlan plan,
-                         PlanBuilder(fix_.cat).Build(spec));
-    int checked = 0;
-    const std::function<void(const PlanNode&, const PlanNode*)> visit =
-        [&](const PlanNode& node, const PlanNode* parent) {
-          const bool maximal =
-              parent == nullptr || parent->op == PlanOp::kProject ||
-              SubtreeRelations(*parent).size() > SubtreeRelations(node).size();
-          if (node.op != PlanOp::kProject && maximal) {
-            ++checked;
-            EXPECT_EQ(
-                SubtreeSignature(fix_.cat, node),
-                SpecSubsetSignature(fix_.cat, spec, SubtreeRelations(node)))
-                << "node n" << node.id << " of " << sql;
-          }
-          if (node.left != nullptr) visit(*node.left, &node);
-          if (node.right != nullptr) visit(*node.right, &node);
-        };
-    ASSERT_NE(plan.root(), nullptr);
-    visit(*plan.root(), nullptr);
-    EXPECT_GE(checked, 2) << sql;
-  }
-}
-
 TEST_F(StatsFeedbackTest, ProjectIsTransparentInSignatures) {
   ASSERT_OK_AND_ASSIGN(
       const QuerySpec spec,
@@ -89,8 +37,7 @@ TEST_F(StatsFeedbackTest, ProjectIsTransparentInSignatures) {
                        PlanBuilder(fix_.cat).Build(spec));
   plan.ForEachPreOrder([&](const PlanNode& node) {
     if (node.op != PlanOp::kProject) return;
-    EXPECT_EQ(SubtreeSignature(fix_.cat, node),
-              SubtreeSignature(fix_.cat, *node.left));
+    EXPECT_EQ(SubtreeSignature(node), SubtreeSignature(*node.left));
   });
 }
 
@@ -99,9 +46,6 @@ TEST_F(StatsFeedbackTest, HarvestFromProfiledExecution) {
   Rng rng(7);
   ASSERT_OK(workload::MedicalScenario::PopulateCluster(
       cluster, workload::MedicalScenario::DataConfig{150, 0.5, 0.5, 20}, rng));
-  ASSERT_OK_AND_ASSIGN(
-      const QuerySpec spec,
-      sql::ParseAndBind(fix_.cat, workload::MedicalScenario::kPaperQuery));
   QueryPlan plan = fix_.PaperPlan();
   planner::SafePlanner planner(fix_.cat, fix_.auths);
   ASSERT_OK_AND_ASSIGN(const planner::SafePlan sp, planner.Plan(plan));
@@ -115,21 +59,20 @@ TEST_F(StatsFeedbackTest, HarvestFromProfiledExecution) {
 
   StatsFeedback feedback;
   const std::size_t harvested =
-      HarvestActualCardinalities(fix_.cat, plan, profile, feedback);
+      HarvestActualCardinalities(plan, profile, feedback);
   EXPECT_GT(harvested, 0u);
   EXPECT_EQ(harvested, feedback.size());
 
   // The full-relation-set signature carries the query's (pre-projection) row
   // count — which for the paper's plain π equals the result's row count.
-  const auto full = feedback.Lookup(
-      SpecSubsetSignature(fix_.cat, spec, spec.Relations()));
+  const auto full = feedback.Lookup(SubtreeSignature(*plan.root()));
   ASSERT_TRUE(full.has_value());
   EXPECT_DOUBLE_EQ(*full, static_cast<double>(result.table.row_count()));
 
   // Every leaf's signature carries its table cardinality (no WHERE here).
   plan.ForEachPreOrder([&](const PlanNode& node) {
     if (node.op != PlanOp::kRelation) return;
-    const auto rows = feedback.Lookup(SubtreeSignature(fix_.cat, node));
+    const auto rows = feedback.Lookup(SubtreeSignature(node));
     ASSERT_TRUE(rows.has_value()) << "leaf n" << node.id;
     EXPECT_DOUBLE_EQ(*rows,
                      static_cast<double>(cluster.TableOf(node.relation)
@@ -150,32 +93,12 @@ TEST_F(StatsFeedbackTest, PlanBuilderPrefersMeasuredCardinality) {
   ASSERT_NE(join, nullptr);
 
   StatsFeedback feedback;
-  feedback.Record(SubtreeSignature(fix_.cat, *join), 123.0);
+  feedback.Record(SubtreeSignature(*join), 123.0);
   const PlanBuilder with(fix_.cat, nullptr, &feedback);
   EXPECT_DOUBLE_EQ(with.EstimateCardinality(*join), 123.0);
   // Without the store the model estimate applies (and differs).
   const PlanBuilder without(fix_.cat);
   EXPECT_NE(without.EstimateCardinality(*join), 123.0);
-}
-
-TEST_F(StatsFeedbackTest, DpOptimizerUsesMeasuredSubsetCardinalities) {
-  ASSERT_OK_AND_ASSIGN(
-      const QuerySpec spec,
-      sql::ParseAndBind(fix_.cat,
-                        "SELECT Plan, HealthAid FROM Insurance JOIN "
-                        "Nat_registry ON Holder = Citizen"));
-  // Default stats: 1000 rows each, key-like distincts -> join estimate 1000.
-  ASSERT_OK_AND_ASSIGN(const DpOptimizerResult modeled,
-                       OptimizeJoinOrder(fix_.cat, nullptr, spec));
-  EXPECT_DOUBLE_EQ(modeled.estimated_cost, 1000.0);
-
-  StatsFeedback feedback;
-  feedback.Record(SpecSubsetSignature(fix_.cat, spec, spec.Relations()), 5.0);
-  DpOptimizerOptions options;
-  options.feedback = &feedback;
-  ASSERT_OK_AND_ASSIGN(const DpOptimizerResult measured,
-                       OptimizeJoinOrder(fix_.cat, nullptr, spec, options));
-  EXPECT_DOUBLE_EQ(measured.estimated_cost, 5.0);
 }
 
 }  // namespace
