@@ -4,8 +4,8 @@
 //
 // The claim is twofold: the columnar engine is at least 5x faster on the
 // σ → ⋈ → π-distinct pipeline, and its output is byte-identical to the row
-// engine's — same header, same rows, same row order — so the swap under the
-// operator API is observationally invisible. The artifact records per-stage
+// engine's — same header, same rows, same row order — so replacing the row
+// engine is observationally invisible. The artifact records per-stage
 // and end-to-end timings plus the equality verdict; the CI bench smoke step
 // (scripts/check_bench_regression.sh) fails when the end-to-end speedup
 // drops below half the committed baseline.
@@ -158,8 +158,8 @@ void PrintKernelTable() {
   constexpr std::size_t kFactRows = 100000;
   constexpr int kRepeats = 5;
   const Workload w(kFactRows);
-  // The engine converts each base relation once and caches it
-  // (Cluster::ColumnarOf); conversion is outside the per-query timings.
+  // The cluster stores base relations columnar (Cluster::ColumnarOf), so
+  // conversion is outside the per-query timings.
   const auto fact = std::make_shared<const ColumnarTable>(
       ColumnarTable::FromRows(w.fact));
   const auto dim = std::make_shared<const ColumnarTable>(

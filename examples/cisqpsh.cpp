@@ -79,7 +79,7 @@ class Shell {
     // and the cost-based planners; the feedback store accumulates measured
     // cardinalities from every profiled execution in this session.
     for (catalog::RelationId r = 0; r < cat_.relation_count(); ++r) {
-      stats_.Set(r, plan::StatsCatalog::FromTable(cluster_.TableOf(r)));
+      stats_.Set(r, plan::StatsCatalog::FromTable(*cluster_.ColumnarOf(r)));
     }
     // Metrics and the audit log accumulate across the whole session;
     // \metrics and \audit read them back. Span tracing is per-\trace.
@@ -125,7 +125,7 @@ class Shell {
               break;
           }
         }
-        CISQP_CHECK(cluster_.InsertRow(r, std::move(row)).ok());
+        CISQP_CHECK(cluster_.InsertRow(r, row).ok());
       }
     }
   }

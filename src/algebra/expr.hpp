@@ -1,9 +1,11 @@
-// Selection predicates: conjunctions of simple comparisons.
+// Selection predicates (conjunctions of simple comparisons) and equi-join
+// atoms.
 //
 // The paper's query class is select-from-where with conjunctive conditions
 // (§2). A Predicate is a conjunction of comparisons, each between an
 // attribute and a literal or between two attributes; the attributes it
 // references form the `X` of `σ_X` in the profile algebra (paper Fig. 4).
+// A join condition is a conjunction of EquiJoinAtoms.
 #pragma once
 
 #include <string>
@@ -68,5 +70,14 @@ class Predicate {
 /// Evaluates one comparison given resolved cell values.
 bool EvaluateComparison(const storage::Value& lhs, CompareOp op,
                         const storage::Value& rhs) noexcept;
+
+/// One equi-join atom `left_attr = right_attr` where `left_attr` is a column
+/// of the left operand and `right_attr` of the right operand.
+struct EquiJoinAtom {
+  catalog::AttributeId left = catalog::kInvalidId;
+  catalog::AttributeId right = catalog::kInvalidId;
+
+  friend bool operator==(const EquiJoinAtom&, const EquiJoinAtom&) = default;
+};
 
 }  // namespace cisqp::algebra

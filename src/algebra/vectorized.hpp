@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "algebra/expr.hpp"
-#include "algebra/operators.hpp"
 #include "common/thread_pool.hpp"
 #include "storage/column.hpp"
 

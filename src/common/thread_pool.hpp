@@ -1,7 +1,6 @@
 // ThreadPool: the library's shared worker-pool substrate.
 //
-// A fixed-size pool of detached workers consuming a FIFO task queue. Two
-// entry points: `Submit` hands one task to the pool and returns a future;
+// A fixed-size pool of detached workers consuming a FIFO task queue.
 // `ParallelFor` fans an index range across the workers and blocks until
 // every index ran. The calling thread always participates in `ParallelFor`,
 // so a pool built for N-way parallelism spawns N-1 workers and `threads=1`
@@ -22,10 +21,8 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -64,21 +61,6 @@ class ThreadPool {
   /// for paths that must reuse a shared pool instead of respawning one per
   /// call (the executor's SharedQueryPool; see serving_test).
   static std::uint64_t constructed_count() noexcept;
-
-  /// Runs `fn` on a worker and returns its future. With no workers the task
-  /// runs inline before Submit returns (still observable via the future).
-  template <typename F>
-  auto Submit(F fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::move(fn));
-    std::future<R> future = task->get_future();
-    if (workers_.empty()) {
-      (*task)();
-    } else {
-      Enqueue([task] { (*task)(); });
-    }
-    return future;
-  }
 
   /// Invokes `fn(i)` for every i in [0, n), distributing indices across the
   /// workers and the calling thread; returns when all n invocations

@@ -2,57 +2,36 @@
 
 namespace cisqp::exec {
 
-Cluster::Cluster(const catalog::Catalog& cat)
-    : cat_(cat), columnar_(cat.relation_count()) {
+Cluster::Cluster(const catalog::Catalog& cat) : cat_(cat) {
   tables_.reserve(cat.relation_count());
   for (std::size_t rel = 0; rel < cat.relation_count(); ++rel) {
-    tables_.push_back(storage::Table::ForRelation(
-        cat, static_cast<catalog::RelationId>(rel)));
+    tables_.push_back(std::make_shared<storage::ColumnarTable>(
+        storage::Table::ForRelation(cat, static_cast<catalog::RelationId>(rel))
+            .columns()));
   }
 }
 
-Status Cluster::LoadTable(catalog::RelationId rel, storage::Table table) {
+Status Cluster::InsertRow(catalog::RelationId rel, const storage::Row& row) {
   if (rel >= cat_.relation_count()) {
     return NotFoundError("unknown relation id " + std::to_string(rel));
   }
-  if (table.columns() != tables_[rel].columns()) {
-    return InvalidArgumentError("table header does not match schema of '" +
-                                cat_.relation(rel).name + "'");
+  std::shared_ptr<storage::ColumnarTable>& table = tables_[rel];
+  CISQP_RETURN_IF_ERROR(storage::CheckRow(table->columns(), row));
+  if (table.use_count() > 1) {  // handed out: the holder keeps its rows
+    table = std::make_shared<storage::ColumnarTable>(*table);
   }
-  tables_[rel] = std::move(table);
-  {
-    const std::lock_guard<std::mutex> lock(*columnar_mu_);
-    columnar_[rel].reset();
-  }
+  table->AppendRow(row);
   return Status::Ok();
 }
 
-Status Cluster::InsertRow(catalog::RelationId rel, storage::Row row) {
-  if (rel >= cat_.relation_count()) {
-    return NotFoundError("unknown relation id " + std::to_string(rel));
-  }
-  CISQP_RETURN_IF_ERROR(tables_[rel].AppendRow(std::move(row)));
-  {
-    const std::lock_guard<std::mutex> lock(*columnar_mu_);
-    columnar_[rel].reset();
-  }
-  return Status::Ok();
-}
-
-const storage::Table& Cluster::TableOf(catalog::RelationId rel) const {
-  CISQP_CHECK_MSG(rel < cat_.relation_count(), "unknown relation id " << rel);
-  return tables_[rel];
+storage::Table Cluster::TableOf(catalog::RelationId rel) const {
+  return ColumnarOf(rel)->MaterializeRows();
 }
 
 std::shared_ptr<const storage::ColumnarTable> Cluster::ColumnarOf(
     catalog::RelationId rel) const {
-  const storage::Table& table = TableOf(rel);
-  const std::lock_guard<std::mutex> lock(*columnar_mu_);
-  if (!columnar_[rel]) {
-    columnar_[rel] = std::make_shared<const storage::ColumnarTable>(
-        storage::ColumnarTable::FromRows(table));
-  }
-  return columnar_[rel];
+  CISQP_CHECK_MSG(rel < cat_.relation_count(), "unknown relation id " << rel);
+  return tables_[rel];
 }
 
 }  // namespace cisqp::exec

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "algebra/expr.hpp"
-#include "algebra/operators.hpp"
 #include "catalog/catalog.hpp"
 
 namespace cisqp::plan {

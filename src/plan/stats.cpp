@@ -9,14 +9,15 @@
 
 namespace cisqp::plan {
 
-RelationStats StatsCatalog::FromTable(const storage::Table& table) {
+RelationStats StatsCatalog::FromTable(const storage::ColumnarTable& table) {
   RelationStats stats;
   stats.rows = static_cast<double>(table.row_count());
   for (std::size_t c = 0; c < table.column_count(); ++c) {
+    const storage::ColumnVector& column = table.column(c);
     std::unordered_set<std::size_t> hashes;
     hashes.reserve(table.row_count());
-    for (const storage::Row& row : table.rows()) {
-      hashes.insert(row[c].Hash());
+    for (std::size_t r = 0; r < column.size(); ++r) {
+      hashes.insert(column.HashAt(r));
     }
     stats.distinct[table.columns()[c].attribute] =
         static_cast<double>(hashes.size());

@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "catalog/catalog.hpp"
-#include "storage/table.hpp"
+#include "storage/column.hpp"
 
 namespace cisqp::obs {
 class QueryProfile;
@@ -61,8 +61,9 @@ class StatsCatalog {
 
   bool Has(catalog::RelationId rel) const { return stats_.contains(rel); }
 
-  /// Exact statistics scanned from a materialized table.
-  static RelationStats FromTable(const storage::Table& table);
+  /// Exact statistics scanned from a stored table: its row count, and per
+  /// column the number of distinct cell hashes (NULL is one class).
+  static RelationStats FromTable(const storage::ColumnarTable& table);
 
  private:
   std::map<catalog::RelationId, RelationStats> stats_;

@@ -81,26 +81,35 @@ Result<algebra::CompareOp> ParseCompareOp(Cursor& cur) {
   }
 }
 
+/// The numeric token `t` as a T-typed value. The lexer only emits digits
+/// (and one inner dot) here, so the one failure is a value outside T's
+/// range: a typed error, never an exception.
+template <typename T>
+Result<storage::Value> NumericLiteral(const Token& t, std::string_view kind) {
+  T v{};
+  const char* end = t.text.data() + t.text.size();
+  const auto [ptr, ec] = std::from_chars(t.text.data(), end, v);
+  if (ec != std::errc() || ptr != end) {
+    return InvalidArgumentError(std::string(kind) +
+                                " literal out of range at offset " +
+                                std::to_string(t.offset));
+  }
+  return storage::Value(v);
+}
+
 Result<AstCondition> ParseWhereCondition(Cursor& cur) {
   AstCondition cond;
   CISQP_ASSIGN_OR_RETURN(cond.lhs, ParseName(cur));
   CISQP_ASSIGN_OR_RETURN(cond.op, ParseCompareOp(cur));
   const Token& t = cur.Peek();
   switch (t.kind) {
-    case TokenKind::kInteger: {
-      std::int64_t v = 0;
-      const auto [ptr, ec] = std::from_chars(t.text.data(), t.text.data() + t.text.size(), v);
-      if (ec != std::errc() || ptr != t.text.data() + t.text.size()) {
-        return InvalidArgumentError("integer literal out of range at offset " +
-                                    std::to_string(t.offset));
-      }
-      cur.Advance();
-      cond.rhs = storage::Value(v);
-      return cond;
-    }
+    case TokenKind::kInteger:
     case TokenKind::kFloat: {
+      CISQP_ASSIGN_OR_RETURN(cond.rhs,
+                             t.kind == TokenKind::kInteger
+                                 ? NumericLiteral<std::int64_t>(t, "integer")
+                                 : NumericLiteral<double>(t, "float"));
       cur.Advance();
-      cond.rhs = storage::Value(std::stod(t.text));
       return cond;
     }
     case TokenKind::kString: {

@@ -107,8 +107,9 @@ class ColumnVector {
   std::unordered_map<std::string, std::uint32_t> dict_index_;
 };
 
-/// An in-memory relation instance in columnar layout. Interconvertible with
-/// the row Table, which stays the external compatibility surface.
+/// An in-memory relation instance in columnar layout: how the cluster stores
+/// base relations and how batches flow between kernels. Interconvertible
+/// with the row Table, which the edges use (input rows, oracles, results).
 class ColumnarTable {
  public:
   ColumnarTable() = default;

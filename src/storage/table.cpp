@@ -6,6 +6,24 @@
 
 namespace cisqp::storage {
 
+Status CheckRow(const std::vector<Column>& header, const Row& row) {
+  if (row.size() != header.size()) {
+    return InvalidArgumentError("row arity " + std::to_string(row.size()) +
+                                " does not match table arity " +
+                                std::to_string(header.size()));
+  }
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    if (!row[i].is_null() && row[i].type() != header[i].type) {
+      return InvalidArgumentError(
+          "cell " + std::to_string(i) + " has type '" +
+          std::string(catalog::ValueTypeName(row[i].type())) +
+          "', column expects '" +
+          std::string(catalog::ValueTypeName(header[i].type)) + "'");
+    }
+  }
+  return Status::Ok();
+}
+
 Table Table::ForRelation(const catalog::Catalog& cat, catalog::RelationId rel) {
   const catalog::RelationDef& def = cat.relation(rel);
   std::vector<Column> cols;
@@ -40,19 +58,7 @@ IdSet Table::AttributeSet() const {
 }
 
 Status Table::AppendRow(Row row) {
-  if (row.size() != columns_.size()) {
-    return InvalidArgumentError("row arity " + std::to_string(row.size()) +
-                                " does not match table arity " +
-                                std::to_string(columns_.size()));
-  }
-  for (std::size_t i = 0; i < row.size(); ++i) {
-    if (!row[i].is_null() && row[i].type() != columns_[i].type) {
-      return InvalidArgumentError(
-          "cell " + std::to_string(i) + " has type '" +
-          std::string(catalog::ValueTypeName(row[i].type())) + "', column expects '" +
-          std::string(catalog::ValueTypeName(columns_[i].type)) + "'");
-    }
-  }
+  CISQP_RETURN_IF_ERROR(CheckRow(columns_, row));
   rows_.push_back(std::move(row));
   return Status::Ok();
 }

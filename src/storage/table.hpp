@@ -24,6 +24,10 @@ struct Column {
   friend bool operator==(const Column&, const Column&) = default;
 };
 
+/// Checks that `row` fits `header`: same arity, and every non-NULL cell of
+/// its column's type (NULL fits any type).
+Status CheckRow(const std::vector<Column>& header, const Row& row);
+
 /// An in-memory relation instance with value semantics.
 class Table {
  public:
@@ -50,7 +54,7 @@ class Table {
   /// The set of attribute ids in the header.
   IdSet AttributeSet() const;
 
-  /// Appends a row after checking arity and cell types (NULL fits any type).
+  /// Appends a row after checking it with CheckRow.
   Status AppendRow(Row row);
 
   /// Appends without validation; for operator internals that construct rows

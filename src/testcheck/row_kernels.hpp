@@ -14,7 +14,7 @@
 // it just hashed. Semantics — including output row order — are unchanged.
 #pragma once
 
-#include "algebra/operators.hpp"
+#include "algebra/expr.hpp"
 #include "exec/cluster.hpp"
 #include "plan/plan_node.hpp"
 

@@ -355,7 +355,7 @@ Status PopulateCluster(exec::Cluster& cluster, const Federation& federation,
           row.emplace_back(rng.UniformInt(0, std::max<std::int64_t>(domain, 2) - 1));
         }
       }
-      CISQP_RETURN_IF_ERROR(cluster.InsertRow(r, std::move(row)));
+      CISQP_RETURN_IF_ERROR(cluster.InsertRow(r, row));
     }
   }
   return Status::Ok();
@@ -365,7 +365,7 @@ plan::StatsCatalog ComputeStats(const exec::Cluster& cluster) {
   plan::StatsCatalog stats;
   const catalog::Catalog& cat = cluster.catalog();
   for (catalog::RelationId rel = 0; rel < cat.relation_count(); ++rel) {
-    stats.Set(rel, plan::StatsCatalog::FromTable(cluster.TableOf(rel)));
+    stats.Set(rel, plan::StatsCatalog::FromTable(*cluster.ColumnarOf(rel)));
   }
   return stats;
 }

@@ -150,7 +150,7 @@ plan::StatsCatalog MedicalScenario::ComputeStats(const exec::Cluster& cluster) {
   plan::StatsCatalog stats;
   const catalog::Catalog& cat = cluster.catalog();
   for (catalog::RelationId rel = 0; rel < cat.relation_count(); ++rel) {
-    stats.Set(rel, plan::StatsCatalog::FromTable(cluster.TableOf(rel)));
+    stats.Set(rel, plan::StatsCatalog::FromTable(*cluster.ColumnarOf(rel)));
   }
   return stats;
 }

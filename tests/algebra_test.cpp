@@ -1,12 +1,15 @@
-// Unit tests for src/algebra: predicates and physical operators.
+// Unit tests for src/algebra: predicates, and the batch kernels on small
+// row fixtures.
 #include <gtest/gtest.h>
 
-#include "algebra/operators.hpp"
+#include "algebra/vectorized.hpp"
 #include "test_util.hpp"
 
 namespace cisqp::algebra {
 namespace {
 
+using cisqp::testing::AsBatch;
+using cisqp::testing::AsRows;
 using cisqp::testing::Attr;
 using cisqp::testing::Relation;
 using storage::Table;
@@ -66,14 +69,15 @@ TEST_F(AlgebraTest, PredicateReferencedAttributes) {
 TEST_F(AlgebraTest, PredicateEvaluateAttrLiteral) {
   Predicate p;
   p.And(Comparison{Attr(cat_, "Holder"), CompareOp::kGe, Value(std::int64_t{2})});
-  ASSERT_OK_AND_ASSIGN(Table out, Select(insurance_, p));
+  ASSERT_OK_AND_ASSIGN(Table out, AsRows(SelectBatch(AsBatch(insurance_), p)));
   EXPECT_EQ(out.row_count(), 2u);
 }
 
 TEST_F(AlgebraTest, PredicateEvaluateMissingAttributeFails) {
   Predicate p;
   p.And(Comparison{Attr(cat_, "Citizen"), CompareOp::kEq, Value(std::int64_t{1})});
-  EXPECT_EQ(Select(insurance_, p).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(SelectBatch(AsBatch(insurance_), p).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(AlgebraTest, PredicateToString) {
@@ -85,7 +89,9 @@ TEST_F(AlgebraTest, PredicateToString) {
 
 TEST_F(AlgebraTest, ProjectKeepsOrderAndValues) {
   ASSERT_OK_AND_ASSIGN(
-      Table out, Project(hospital_, {Attr(cat_, "Physician"), Attr(cat_, "Patient")}));
+      Table out,
+      AsRows(ProjectBatch(AsBatch(hospital_),
+                          {Attr(cat_, "Physician"), Attr(cat_, "Patient")})));
   ASSERT_EQ(out.column_count(), 2u);
   EXPECT_EQ(out.columns()[0].attribute, Attr(cat_, "Physician"));
   EXPECT_EQ(out.row(0)[0], Value("dr_a"));
@@ -94,22 +100,26 @@ TEST_F(AlgebraTest, ProjectKeepsOrderAndValues) {
 }
 
 TEST_F(AlgebraTest, ProjectDistinctDropsDuplicates) {
-  ASSERT_OK_AND_ASSIGN(Table out,
-                       Project(hospital_, {Attr(cat_, "Patient")}, true));
+  ASSERT_OK_AND_ASSIGN(
+      Table out,
+      AsRows(ProjectBatch(AsBatch(hospital_), {Attr(cat_, "Patient")}, true)));
   EXPECT_EQ(out.row_count(), 2u);  // patients 1 and 4
 }
 
 TEST_F(AlgebraTest, ProjectValidatesAttributes) {
-  EXPECT_EQ(Project(hospital_, {Attr(cat_, "Plan")}).status().code(),
+  EXPECT_EQ(
+      ProjectBatch(AsBatch(hospital_), {Attr(cat_, "Plan")}).status().code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(ProjectBatch(AsBatch(hospital_), {}).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(Project(hospital_, {}).status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(AlgebraTest, HashJoinMatchesOnKeys) {
   ASSERT_OK_AND_ASSIGN(
       Table out,
-      HashJoin(insurance_, hospital_,
-               {EquiJoinAtom{Attr(cat_, "Holder"), Attr(cat_, "Patient")}}));
+      AsRows(JoinBatches(
+          AsBatch(insurance_), AsBatch(hospital_),
+          {EquiJoinAtom{Attr(cat_, "Holder"), Attr(cat_, "Patient")}})));
   // Holder 1 matches two hospital rows; 2 and 3 match none.
   EXPECT_EQ(out.row_count(), 2u);
   EXPECT_EQ(out.column_count(), 5u);
@@ -126,8 +136,9 @@ TEST_F(AlgebraTest, HashJoinIgnoresNullKeys) {
   ASSERT_OK(right.AppendRow({Value(std::int64_t{4}), Value("flu"), Value("dr")}));
   ASSERT_OK_AND_ASSIGN(
       Table out,
-      HashJoin(left, right,
-               {EquiJoinAtom{Attr(cat_, "Holder"), Attr(cat_, "Patient")}}));
+      AsRows(JoinBatches(
+          AsBatch(left), AsBatch(right),
+          {EquiJoinAtom{Attr(cat_, "Holder"), Attr(cat_, "Patient")}})));
   EXPECT_EQ(out.row_count(), 1u);  // only the 4-4 pair; NULLs never match
 }
 
@@ -139,14 +150,16 @@ TEST_F(AlgebraTest, HashJoinMultiAtom) {
   ASSERT_OK(reg.AppendRow({Value(std::int64_t{2}), Value("none")}));
   ASSERT_OK_AND_ASSIGN(
       Table out,
-      HashJoin(insurance_, reg,
-               {EquiJoinAtom{Attr(cat_, "Holder"), Attr(cat_, "Citizen")}}));
+      AsRows(JoinBatches(
+          AsBatch(insurance_), AsBatch(reg),
+          {EquiJoinAtom{Attr(cat_, "Holder"), Attr(cat_, "Citizen")}})));
   EXPECT_EQ(out.row_count(), 2u);
 }
 
 TEST_F(AlgebraTest, HashJoinRequiresAtoms) {
-  EXPECT_EQ(HashJoin(insurance_, hospital_, {}).status().code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      JoinBatches(AsBatch(insurance_), AsBatch(hospital_), {}).status().code(),
+      StatusCode::kInvalidArgument);
 }
 
 TEST_F(AlgebraTest, HashJoinPreservesMultiplicity) {
@@ -155,22 +168,28 @@ TEST_F(AlgebraTest, HashJoinPreservesMultiplicity) {
   ASSERT_OK(dup.AppendRow({Value(std::int64_t{1}), Value("gold")}));
   ASSERT_OK_AND_ASSIGN(
       Table out,
-      HashJoin(dup, hospital_,
-               {EquiJoinAtom{Attr(cat_, "Holder"), Attr(cat_, "Patient")}}));
+      AsRows(JoinBatches(
+          AsBatch(dup), AsBatch(hospital_),
+          {EquiJoinAtom{Attr(cat_, "Holder"), Attr(cat_, "Patient")}})));
   EXPECT_EQ(out.row_count(), 4u);  // 2 left dups × 2 matching right rows
 }
 
 TEST_F(AlgebraTest, NaturalJoinOnSharedColumns) {
   // Shared column: Patient (appears in both inputs).
-  ASSERT_OK_AND_ASSIGN(Table patients,
-                       Project(hospital_, {Attr(cat_, "Patient")}, true));
-  ASSERT_OK_AND_ASSIGN(Table out, NaturalJoinOnShared(hospital_, patients));
+  ASSERT_OK_AND_ASSIGN(
+      Table patients,
+      AsRows(ProjectBatch(AsBatch(hospital_), {Attr(cat_, "Patient")}, true)));
+  ASSERT_OK_AND_ASSIGN(
+      Table out,
+      AsRows(NaturalJoinBatches(AsBatch(hospital_), AsBatch(patients))));
   EXPECT_EQ(out.row_count(), 3u);      // every hospital row keeps its match
   EXPECT_EQ(out.column_count(), 3u);   // shared column not duplicated
 }
 
 TEST_F(AlgebraTest, NaturalJoinRequiresSharedColumns) {
-  EXPECT_EQ(NaturalJoinOnShared(insurance_, hospital_).status().code(),
+  EXPECT_EQ(NaturalJoinBatches(AsBatch(insurance_), AsBatch(hospital_))
+                .status()
+                .code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -179,7 +198,7 @@ TEST_F(AlgebraTest, DistinctKeepsFirstOccurrence) {
   ASSERT_OK(t.AppendRow({Value(std::int64_t{1}), Value("a")}));
   ASSERT_OK(t.AppendRow({Value(std::int64_t{1}), Value("a")}));
   ASSERT_OK(t.AppendRow({Value(std::int64_t{1}), Value("b")}));
-  const Table out = Distinct(t);
+  const Table out = DistinctBatch(AsBatch(t)).MaterializeRows();
   EXPECT_EQ(out.row_count(), 2u);
 }
 
@@ -188,11 +207,12 @@ TEST_F(AlgebraTest, SelectWithAttrAttrComparison) {
   ASSERT_OK(reg.AppendRow({Value(std::int64_t{1}), Value("full")}));
   ASSERT_OK_AND_ASSIGN(
       Table joined,
-      HashJoin(insurance_, reg,
-               {EquiJoinAtom{Attr(cat_, "Holder"), Attr(cat_, "Citizen")}}));
+      AsRows(JoinBatches(
+          AsBatch(insurance_), AsBatch(reg),
+          {EquiJoinAtom{Attr(cat_, "Holder"), Attr(cat_, "Citizen")}})));
   Predicate p;
   p.And(Comparison{Attr(cat_, "Holder"), CompareOp::kEq, Attr(cat_, "Citizen")});
-  ASSERT_OK_AND_ASSIGN(Table out, Select(joined, p));
+  ASSERT_OK_AND_ASSIGN(Table out, AsRows(SelectBatch(AsBatch(joined), p)));
   EXPECT_EQ(out.row_count(), joined.row_count());
 }
 

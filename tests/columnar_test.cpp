@@ -4,14 +4,14 @@
 // kernels' output *exactly* — same header, same rows, same row order — on
 // every input, including the corners the sweep fixed bugs around: NULL join
 // keys, duplicate projection attributes, empty inputs, and distinct chained
-// after project. Randomized tables drive both engines through the
-// compatibility operator API and through the batch API directly.
+// after project. Randomized row tables drive both engines: the batch kernels
+// see them through AsBatch/AsRows, and the parity suites below call the
+// kernels on batches directly.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <random>
 
-#include "algebra/operators.hpp"
 #include "algebra/vectorized.hpp"
 #include "storage/column.hpp"
 #include "test_util.hpp"
@@ -20,6 +20,8 @@
 namespace cisqp::algebra {
 namespace {
 
+using cisqp::testing::AsBatch;
+using cisqp::testing::AsRows;
 using storage::Column;
 using storage::ColumnarTable;
 using storage::Row;
@@ -170,7 +172,8 @@ TEST(KernelEquivalenceTest, ProjectMatchesRowKernel) {
       for (const bool distinct : {false, true}) {
         ASSERT_OK_AND_ASSIGN(const Table want,
                              testcheck::RowProject(t, attrs, distinct));
-        ASSERT_OK_AND_ASSIGN(const Table got, Project(t, attrs, distinct));
+        ASSERT_OK_AND_ASSIGN(const Table got,
+                             AsRows(ProjectBatch(AsBatch(t), attrs, distinct)));
         ExpectExactlyEqual(got, want);
       }
     }
@@ -180,18 +183,22 @@ TEST(KernelEquivalenceTest, ProjectMatchesRowKernel) {
 TEST(KernelEquivalenceTest, DistinctAfterProjectMatchesRowKernel) {
   std::mt19937 rng(23);
   const Table t = RandomTable(rng, MixedHeader(), 60, /*null_prob=*/0.4);
-  ASSERT_OK_AND_ASSIGN(const Table narrow, Project(t, {kB, kC}));
+  ASSERT_OK_AND_ASSIGN(const Table narrow,
+                       AsRows(ProjectBatch(AsBatch(t), {kB, kC})));
   ASSERT_OK_AND_ASSIGN(const Table narrow_row, testcheck::RowProject(t, {kB, kC}));
-  ExpectExactlyEqual(Distinct(narrow), testcheck::RowDistinct(narrow_row));
+  ExpectExactlyEqual(DistinctBatch(AsBatch(narrow)).MaterializeRows(),
+                     testcheck::RowDistinct(narrow_row));
 }
 
 TEST(KernelEquivalenceTest, ProjectErrorsMatchRowKernel) {
   const Table t(MixedHeader());
-  EXPECT_EQ(Project(t, {}).status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(Project(t, {}).status().message(),
+  EXPECT_EQ(ProjectBatch(AsBatch(t), {}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ProjectBatch(AsBatch(t), {}).status().message(),
             testcheck::RowProject(t, {}).status().message());
-  EXPECT_EQ(Project(t, {kD}).status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(Project(t, {kD}).status().message(),
+  EXPECT_EQ(ProjectBatch(AsBatch(t), {kD}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ProjectBatch(AsBatch(t), {kD}).status().message(),
             testcheck::RowProject(t, {kD}).status().message());
 }
 
@@ -231,7 +238,7 @@ TEST(KernelEquivalenceTest, SelectMatchesRowKernelAndPreservesOrder) {
     const Table t = RandomTable(rng, MixedHeader(), 50);
     for (const Predicate& p : SelectPredicates()) {
       ASSERT_OK_AND_ASSIGN(const Table want, testcheck::RowSelect(t, p));
-      ASSERT_OK_AND_ASSIGN(const Table got, Select(t, p));
+      ASSERT_OK_AND_ASSIGN(const Table got, AsRows(SelectBatch(AsBatch(t), p)));
       ExpectExactlyEqual(got, want);
     }
   }
@@ -242,8 +249,9 @@ TEST(KernelEquivalenceTest, SelectMissingAttributeErrorMatches) {
   const Table t = RandomTable(rng, MixedHeader(), 3);
   Predicate p;
   p.And(Comparison{kD, CompareOp::kEq, Value(std::int64_t{1})});
-  EXPECT_EQ(Select(t, p).status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(Select(t, p).status().message(),
+  EXPECT_EQ(SelectBatch(AsBatch(t), p).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(SelectBatch(AsBatch(t), p).status().message(),
             testcheck::RowSelect(t, p).status().message());
 }
 
@@ -268,7 +276,8 @@ TEST(KernelEquivalenceTest, HashJoinMatchesRowKernelWithNullKeys) {
                                 /*null_prob=*/0.3);
     for (const auto& a : {atoms, two_atoms}) {
       ASSERT_OK_AND_ASSIGN(const Table want, testcheck::RowHashJoin(l, r, a));
-      ASSERT_OK_AND_ASSIGN(const Table got, HashJoin(l, r, a));
+      ASSERT_OK_AND_ASSIGN(const Table got,
+                           AsRows(JoinBatches(AsBatch(l), AsBatch(r), a)));
       ExpectExactlyEqual(got, want);
     }
   }
@@ -287,7 +296,8 @@ TEST(KernelEquivalenceTest, NaturalJoinMatchesRowKernel) {
     const Table r = RandomTable(rng, right_header, 18, /*null_prob=*/0.3);
     ASSERT_OK_AND_ASSIGN(const Table want,
                          testcheck::RowNaturalJoinOnShared(l, r));
-    ASSERT_OK_AND_ASSIGN(const Table got, NaturalJoinOnShared(l, r));
+    ASSERT_OK_AND_ASSIGN(const Table got,
+                         AsRows(NaturalJoinBatches(AsBatch(l), AsBatch(r))));
     ExpectExactlyEqual(got, want);
   }
 }
@@ -295,12 +305,12 @@ TEST(KernelEquivalenceTest, NaturalJoinMatchesRowKernel) {
 TEST(KernelEquivalenceTest, JoinErrorsMatchRowKernels) {
   const Table l({Column{kA, catalog::ValueType::kInt64}});
   const Table r({Column{kC, catalog::ValueType::kInt64}});
-  EXPECT_EQ(HashJoin(l, r, {}).status().message(),
+  EXPECT_EQ(JoinBatches(AsBatch(l), AsBatch(r), {}).status().message(),
             testcheck::RowHashJoin(l, r, {}).status().message());
   const std::vector<EquiJoinAtom> bad = {{kA, kD}};
-  EXPECT_EQ(HashJoin(l, r, bad).status().message(),
+  EXPECT_EQ(JoinBatches(AsBatch(l), AsBatch(r), bad).status().message(),
             testcheck::RowHashJoin(l, r, bad).status().message());
-  EXPECT_EQ(NaturalJoinOnShared(l, r).status().message(),
+  EXPECT_EQ(NaturalJoinBatches(AsBatch(l), AsBatch(r)).status().message(),
             testcheck::RowNaturalJoinOnShared(l, r).status().message());
 }
 
@@ -312,7 +322,8 @@ TEST(KernelEquivalenceTest, DistinctMatchesRowKernelKeepsFirstOccurrence) {
     // Few distinct cell values + high NULL rate → many exact-duplicate rows,
     // including rows equal only through NULL == NULL.
     const Table t = RandomTable(rng, MixedHeader(), 50, /*null_prob=*/0.5);
-    ExpectExactlyEqual(Distinct(t), testcheck::RowDistinct(t));
+    ExpectExactlyEqual(DistinctBatch(AsBatch(t)).MaterializeRows(),
+                       testcheck::RowDistinct(t));
   }
 }
 
@@ -322,27 +333,32 @@ TEST(KernelEquivalenceTest, EmptyInputsMatchRowKernels) {
   const Table t(MixedHeader());
   const Table r({Column{kD, catalog::ValueType::kInt64},
                  Column{kA, catalog::ValueType::kInt64}});
-  ASSERT_OK_AND_ASSIGN(const Table p, Project(t, {kB, kA}, /*distinct=*/true));
+  ASSERT_OK_AND_ASSIGN(
+      const Table p,
+      AsRows(ProjectBatch(AsBatch(t), {kB, kA}, /*distinct=*/true)));
   ASSERT_OK_AND_ASSIGN(const Table p_row,
                        testcheck::RowProject(t, {kB, kA}, /*distinct=*/true));
   ExpectExactlyEqual(p, p_row);
 
   Predicate pred;
   pred.And(Comparison{kA, CompareOp::kLt, Value(std::int64_t{5})});
-  ASSERT_OK_AND_ASSIGN(const Table s, Select(t, pred));
+  ASSERT_OK_AND_ASSIGN(const Table s, AsRows(SelectBatch(AsBatch(t), pred)));
   ASSERT_OK_AND_ASSIGN(const Table s_row, testcheck::RowSelect(t, pred));
   ExpectExactlyEqual(s, s_row);
 
   const std::vector<EquiJoinAtom> atoms = {{kA, kD}};
-  ASSERT_OK_AND_ASSIGN(const Table j, HashJoin(t, r, atoms));
+  ASSERT_OK_AND_ASSIGN(const Table j,
+                       AsRows(JoinBatches(AsBatch(t), AsBatch(r), atoms)));
   ASSERT_OK_AND_ASSIGN(const Table j_row, testcheck::RowHashJoin(t, r, atoms));
   ExpectExactlyEqual(j, j_row);
-  ASSERT_OK_AND_ASSIGN(const Table n, NaturalJoinOnShared(t, r));
+  ASSERT_OK_AND_ASSIGN(const Table n,
+                       AsRows(NaturalJoinBatches(AsBatch(t), AsBatch(r))));
   ASSERT_OK_AND_ASSIGN(const Table n_row,
                        testcheck::RowNaturalJoinOnShared(t, r));
   ExpectExactlyEqual(n, n_row);
 
-  ExpectExactlyEqual(Distinct(t), testcheck::RowDistinct(t));
+  ExpectExactlyEqual(DistinctBatch(AsBatch(t)).MaterializeRows(),
+                     testcheck::RowDistinct(t));
 }
 
 // --- fixed row-kernel inefficiency contracts -------------------------------
@@ -371,7 +387,7 @@ TEST(RowKernelContractTest, SelectReservesAndDistinctKeepsFirstOccurrence) {
   EXPECT_EQ(ded.row(0)[0].CompareTotal(Value(std::int64_t{2})), 0);
   EXPECT_EQ(ded.row(1)[1].CompareTotal(Value("first")), 0);
   EXPECT_EQ(ded.row(3)[0].CompareTotal(Value()), 0);
-  ExpectExactlyEqual(Distinct(t), ded);
+  ExpectExactlyEqual(DistinctBatch(AsBatch(t)).MaterializeRows(), ded);
 }
 
 // --- morsel-parallel parity (DESIGN.md §14) --------------------------------
@@ -392,10 +408,6 @@ MorselContext ForcedCtx(ThreadPool& pool, std::size_t radix_bits = 0) {
   return ctx;
 }
 
-std::shared_ptr<const ColumnarTable> Shared(const Table& t) {
-  return std::make_shared<const ColumnarTable>(ColumnarTable::FromRows(t));
-}
-
 /// Byte-identity: exact rows in exact order, and the same wire size (the
 /// parallel gather's wire-byte reduction must match the sequential sum).
 void ExpectBatchesIdentical(const ColumnarBatch& got,
@@ -410,7 +422,7 @@ constexpr std::size_t kParityThreads[] = {1, 2, 3, 8};
 TEST(MorselParityTest, SelectMatchesSequentialAtEveryThreadCount) {
   std::mt19937 rng(53);
   const Table t = RandomTable(rng, MixedHeader(), 300);
-  const ColumnarBatch batch = ColumnarBatch::FromTable(Shared(t));
+  const ColumnarBatch batch = AsBatch(t);
   for (const Predicate& p : SelectPredicates()) {
     ASSERT_OK_AND_ASSIGN(const ColumnarBatch want, SelectBatch(batch, p));
     for (const std::size_t threads : kParityThreads) {
@@ -437,8 +449,8 @@ TEST(MorselParityTest, JoinMatchesSequentialWithNullKeys) {
                                 /*null_prob=*/0.3);
     const Table r = RandomTable(rng, right_header, iter % 2 == 0 ? 300 : 80,
                                 /*null_prob=*/0.3);
-    const ColumnarBatch lb = ColumnarBatch::FromTable(Shared(l));
-    const ColumnarBatch rb = ColumnarBatch::FromTable(Shared(r));
+    const ColumnarBatch lb = AsBatch(l);
+    const ColumnarBatch rb = AsBatch(r);
     for (const auto& a : {atoms, two_atoms}) {
       ASSERT_OK_AND_ASSIGN(const ColumnarBatch want, JoinBatches(lb, rb, a));
       for (const std::size_t threads : kParityThreads) {
@@ -461,8 +473,8 @@ TEST(MorselParityTest, NaturalJoinMatchesSequential) {
       Column{kC, catalog::ValueType::kDouble}};
   const Table l = RandomTable(rng, left_header, 200, /*null_prob=*/0.3);
   const Table r = RandomTable(rng, right_header, 150, /*null_prob=*/0.3);
-  const ColumnarBatch lb = ColumnarBatch::FromTable(Shared(l));
-  const ColumnarBatch rb = ColumnarBatch::FromTable(Shared(r));
+  const ColumnarBatch lb = AsBatch(l);
+  const ColumnarBatch rb = AsBatch(r);
   ASSERT_OK_AND_ASSIGN(const ColumnarBatch want, NaturalJoinBatches(lb, rb));
   for (const std::size_t threads : kParityThreads) {
     ThreadPool pool(threads);
@@ -477,7 +489,7 @@ TEST(MorselParityTest, DistinctAndProjectDistinctMatchSequential) {
   // Few distinct values + NULLs → heavy duplication across morsels, the
   // case where a wrong first-occurrence rule would show.
   const Table t = RandomTable(rng, MixedHeader(), 400, /*null_prob=*/0.4);
-  const ColumnarBatch batch = ColumnarBatch::FromTable(Shared(t));
+  const ColumnarBatch batch = AsBatch(t);
   const ColumnarBatch want_distinct = DistinctBatch(batch);
   ASSERT_OK_AND_ASSIGN(const ColumnarBatch want_proj,
                        ProjectBatch(batch, {kB, kC}, /*distinct=*/true));
@@ -505,9 +517,9 @@ TEST(MorselParityTest, EmptyPartitionsAndEmptyInputs) {
   const Table small_l = RandomTable(rng, left_header, 8, /*null_prob=*/0.2);
   const Table small_r = RandomTable(rng, right_header, 40, /*null_prob=*/0.2);
   const Table empty_l(left_header);
-  const ColumnarBatch slb = ColumnarBatch::FromTable(Shared(small_l));
-  const ColumnarBatch srb = ColumnarBatch::FromTable(Shared(small_r));
-  const ColumnarBatch elb = ColumnarBatch::FromTable(Shared(empty_l));
+  const ColumnarBatch slb = AsBatch(small_l);
+  const ColumnarBatch srb = AsBatch(small_r);
+  const ColumnarBatch elb = AsBatch(empty_l);
   ASSERT_OK_AND_ASSIGN(const ColumnarBatch want, JoinBatches(slb, srb, atoms));
   ASSERT_OK_AND_ASSIGN(const ColumnarBatch want_empty,
                        JoinBatches(elb, srb, atoms));
@@ -546,8 +558,8 @@ TEST(MorselParityTest, AllRowsInOnePartitionSkew) {
     CISQP_CHECK(r.AppendRow({Value(std::int64_t{7}),
                              Value("r" + std::to_string(i))}).ok());
   }
-  const ColumnarBatch lb = ColumnarBatch::FromTable(Shared(l));
-  const ColumnarBatch rb = ColumnarBatch::FromTable(Shared(r));
+  const ColumnarBatch lb = AsBatch(l);
+  const ColumnarBatch rb = AsBatch(r);
   const std::vector<EquiJoinAtom> atoms = {{kA, kC}};
   ASSERT_OK_AND_ASSIGN(const ColumnarBatch want, JoinBatches(lb, rb, atoms));
   ASSERT_EQ(want.row_count(), 40u * 90u);
@@ -585,8 +597,8 @@ TEST(MorselParityTest, GoldenJoinOutputAtEveryThreadCount) {
        {Value(std::int64_t{1}), Value("y"), Value(std::int64_t{1}), Value("p")},
        {Value(std::int64_t{1}), Value("x"), Value(std::int64_t{1}), Value("s")},
        {Value(std::int64_t{1}), Value("y"), Value(std::int64_t{1}), Value("s")}});
-  const ColumnarBatch lb = ColumnarBatch::FromTable(Shared(l));
-  const ColumnarBatch rb = ColumnarBatch::FromTable(Shared(r));
+  const ColumnarBatch lb = AsBatch(l);
+  const ColumnarBatch rb = AsBatch(r);
   const std::vector<EquiJoinAtom> atoms = {{kA, kC}};
   for (const std::size_t threads : kParityThreads) {
     ThreadPool pool(threads);
@@ -606,8 +618,8 @@ TEST(MorselParityTest, JoinStatsCountHashesMorselsAndPartitions) {
       Column{kD, catalog::ValueType::kString}};
   const Table l = RandomTable(rng, left_header, 200, /*null_prob=*/0.1);
   const Table r = RandomTable(rng, right_header, 300, /*null_prob=*/0.1);
-  const ColumnarBatch lb = ColumnarBatch::FromTable(Shared(l));
-  const ColumnarBatch rb = ColumnarBatch::FromTable(Shared(r));
+  const ColumnarBatch lb = AsBatch(l);
+  const ColumnarBatch rb = AsBatch(r);
   const std::vector<EquiJoinAtom> atoms = {{kA, kC}};
 
   // The dictionary-hash reuse contract, sequential and partitioned alike:

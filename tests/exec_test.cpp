@@ -41,21 +41,35 @@ class ExecTest : public ::testing::Test {
 
 TEST_F(ExecTest, ClusterValidatesLoads) {
   Cluster cluster(fix_.cat);
-  storage::Table wrong =
-      storage::Table::ForRelation(fix_.cat, Relation(fix_.cat, "Hospital"));
-  EXPECT_EQ(cluster.LoadTable(Relation(fix_.cat, "Insurance"), wrong).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(cluster.LoadTable(99, wrong).code(), StatusCode::kNotFound);
+  const catalog::RelationId insurance = Relation(fix_.cat, "Insurance");
   EXPECT_EQ(cluster.InsertRow(99, {}).code(), StatusCode::kNotFound);
-  EXPECT_EQ(cluster.InsertRow(Relation(fix_.cat, "Insurance"),
+  EXPECT_EQ(cluster.InsertRow(insurance,
                               {storage::Value("bad"), storage::Value("p")})
                 .code(),
             StatusCode::kInvalidArgument);
-  // Unloaded relations read as empty tables with the right header.
-  const catalog::RelationId insurance = Relation(fix_.cat, "Insurance");
+  EXPECT_EQ(cluster.InsertRow(insurance, {storage::Value(std::int64_t{1})})
+                .code(),
+            StatusCode::kInvalidArgument);
+  // Rejected rows leave nothing behind: the relation still reads as an
+  // empty table with the right header.
   EXPECT_TRUE(cluster.TableOf(insurance).empty());
   EXPECT_EQ(cluster.TableOf(insurance).columns(),
             storage::Table::ForRelation(fix_.cat, insurance).columns());
+}
+
+TEST_F(ExecTest, HandedOutTablesNeverChange) {
+  Cluster cluster(fix_.cat);
+  const catalog::RelationId insurance = Relation(fix_.cat, "Insurance");
+  ASSERT_OK(cluster.InsertRow(
+      insurance, {storage::Value(std::int64_t{1}), storage::Value("gold")}));
+  const std::shared_ptr<const storage::ColumnarTable> before =
+      cluster.ColumnarOf(insurance);
+  ASSERT_OK(cluster.InsertRow(
+      insurance, {storage::Value(std::int64_t{2}), storage::Value("silver")}));
+  EXPECT_EQ(before->row_count(), 1u);
+  EXPECT_EQ(before->column(0).Int64At(0), 1);
+  EXPECT_EQ(cluster.ColumnarOf(insurance)->row_count(), 2u);
+  EXPECT_EQ(cluster.TableOf(insurance).row(1)[1], storage::Value("silver"));
 }
 
 TEST(ClusterTest, ConcurrentColumnarReadsOfAnUnloadedRelation) {

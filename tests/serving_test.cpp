@@ -106,6 +106,24 @@ TEST_F(ServingTest, CachedAnswerIsByteIdenticalToCold) {
   EXPECT_GT(stats.canview_misses, 0u);
 }
 
+TEST_F(ServingTest, OutOfRangeLiteralIsATypedErrorAndTheDoorServesOn) {
+  FrontDoor door = MakeDoor();
+  const std::string overflow = "1" + std::string(400, '0') + ".5";
+  const std::string underflow = "0." + std::string(400, '0') + "1";
+  for (const std::string& literal : {overflow, underflow}) {
+    const Result<Response> bad =
+        door.Serve(Req(insurance_sql_ + " WHERE Holder = " + literal));
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(bad.status().message().find("float literal out of range"),
+              std::string::npos)
+        << bad.status().message();
+  }
+  ASSERT_OK_AND_ASSIGN(const Response next, door.Serve(Req(insurance_sql_)));
+  EXPECT_EQ(next.table.row_count(),
+            cluster_->ColumnarOf(testing::Relation(fix_.cat, "Insurance"))
+                ->row_count());
+}
+
 TEST_F(ServingTest, SpellingVariantsShareOnePlanCacheEntry) {
   FrontDoor door = MakeDoor();
   ASSERT_OK_AND_ASSIGN(const Response a, door.Serve(Req(paper_sql_)));

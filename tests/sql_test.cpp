@@ -168,6 +168,32 @@ TEST(ParserTest, SyntaxErrors) {
   EXPECT_EQ(Parse("").status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(ParserTest, OutOfRangeNumericLiteralsAreErrors) {
+  // Literals outside the range of double (overflow, and underflow to zero)
+  // and of int64 are typed errors at the literal's offset, never a throw.
+  const std::string prefix = "SELECT Plan FROM Insurance WHERE Holder = ";
+  const std::string at = " at offset " + std::to_string(prefix.size());
+  const std::string overflow = "1" + std::string(400, '0') + ".5";
+  const std::string underflow = "0." + std::string(400, '0') + "1";
+  for (const std::string& literal : {overflow, underflow}) {
+    const Result<AstQuery> parsed = Parse(prefix + literal);
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(parsed.status().message(), "float literal out of range" + at);
+  }
+  EXPECT_EQ(Parse(prefix + "1" + std::string(400, '0')).status().message(),
+            "integer literal out of range" + at);
+
+  // The largest and smallest in-range floats still parse exactly.
+  ASSERT_OK_AND_ASSIGN(AstQuery big,
+                       Parse(prefix + "1" + std::string(308, '0') + ".5"));
+  EXPECT_EQ(std::get<storage::Value>(big.where.at(0).rhs),
+            storage::Value(1e308));
+  ASSERT_OK_AND_ASSIGN(AstQuery small,
+                       Parse(prefix + "0." + std::string(323, '0') + "5"));
+  EXPECT_EQ(std::get<storage::Value>(small.where.at(0).rhs),
+            storage::Value(5e-324));
+}
+
 class BinderTest : public ::testing::Test {
  protected:
   catalog::Catalog cat_ = workload::MedicalScenario::BuildCatalog();

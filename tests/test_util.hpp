@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "algebra/vectorized.hpp"
 #include "catalog/catalog.hpp"
 #include "plan/builder.hpp"
 #include "sql/binder.hpp"
@@ -67,6 +69,21 @@ inline authz::JoinPath Path(
     atoms.push_back(authz::JoinAtom::Make(Attr(cat, a), Attr(cat, b)));
   }
   return authz::JoinPath::FromAtoms(std::move(atoms));
+}
+
+/// Row fixtures through the batch kernels: `AsBatch` wraps a row table as
+/// the identity batch of its columnar copy, and `AsRows` materializes what a
+/// kernel returned, or passes its error on.
+inline algebra::ColumnarBatch AsBatch(const storage::Table& table) {
+  return algebra::ColumnarBatch::FromTable(
+      std::make_shared<const storage::ColumnarTable>(
+          storage::ColumnarTable::FromRows(table)));
+}
+
+inline Result<storage::Table> AsRows(
+    const Result<algebra::ColumnarBatch>& out) {
+  if (!out.ok()) return out.status();
+  return out->MaterializeRows();
 }
 
 /// The paper's scenario, parsed and planned with FROM-clause join order

@@ -28,23 +28,6 @@ TEST(ThreadPoolTest, ThreadCountMatchesRequest) {
   EXPECT_EQ(ThreadPool(0).thread_count(), ThreadPool::HardwareConcurrency());
 }
 
-TEST(ThreadPoolTest, SubmitReturnsResults) {
-  ThreadPool pool(3);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 20; ++i) {
-    futures.push_back(pool.Submit([i] { return i * i; }));
-  }
-  for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i * i);
-  }
-}
-
-TEST(ThreadPoolTest, SubmitPropagatesExceptions) {
-  ThreadPool pool(2);
-  auto future = pool.Submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
-}
-
 TEST(ThreadPoolTest, ParallelForVisitsEveryIndexOnce) {
   for (const std::size_t threads : {1u, 2u, 4u}) {
     ThreadPool pool(threads);
