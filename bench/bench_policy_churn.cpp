@@ -5,10 +5,10 @@
 //
 //   edit cost   an alternating grant/revoke script runs through
 //               FrontDoor::AddRule/RevokeRule (semi-naïve delta chase,
-//               DESIGN.md §16) while a mirror of the same edits pays a full
-//               ChaseClosure recompute per edit — the cost a SetPolicy-based
-//               door would pay. The per-edit incremental cost must be
-//               strictly cheaper in aggregate.
+//               DESIGN.md §16) while a mirror of the same edits pays a
+//               fresh IncrementalClosure::Build of the edited rules per
+//               edit. The per-edit incremental cost must be strictly
+//               cheaper in aggregate.
 //   retention   a door with a warm plan cache takes one edit whose
 //               ClosureDelta is disjoint from every cached query (a
 //               Disease_list-only grant vs Insurance/Hospital/Nat_registry
@@ -199,10 +199,9 @@ void PrintPolicyChurn() {
                          : mirror.Remove(world.cat, rule),
                    "mirror edit");
       t0 = NowUs();
-      authz::AuthorizationSet full =
-          Unwrap(authz::ChaseClosure(world.cat, mirror, chase_options),
-                 "full rechase");
-      full.Canonicalize();
+      const authz::IncrementalClosure full = Unwrap(
+          authz::IncrementalClosure::Build(world.cat, mirror, chase_options),
+          "full rechase");
       full_total_us += NowUs() - t0;
       ++edits;
     }

@@ -7,8 +7,8 @@
 //
 // Campaign mode draws one scenario per seed, runs the production pipeline
 // (chase → feasibility-aware plan search → distributed execution, sequential
-// and parallel, fault-free and under fault schedules) against the
-// brute-force oracles, and on any mismatch shrinks the scenario with the
+// and parallel, plus serving and policy edits) against the brute-force
+// oracles, and on any mismatch shrinks the scenario with the
 // delta-debugging minimizer and writes a self-contained repro file to
 // --out-dir. Exit status: 0 = all green, 1 = mismatches found, 2 = usage or
 // I/O error.
@@ -19,7 +19,6 @@
 //   --time-budget=SEC  stop the campaign after SEC seconds (0 = no budget;
 //                      a trailing 's' is accepted: --time-budget=60s)
 //   --threads=N        parallel-arm thread count (default 2)
-//   --fault-seeds=a,b,c fault schedules per scenario (default 7,19,2027)
 //   --no-exec          skip the execution arms (planning-only campaign)
 //   --out-dir=DIR      where minimized repro files go (default .)
 //   --replay FILE      check one repro file instead of a campaign
@@ -35,7 +34,6 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "obs/trace.hpp"
 #include "testcheck/harness.hpp"
@@ -51,7 +49,6 @@ struct Flags {
   std::uint64_t seed_start = 1;
   double time_budget_sec = 0.0;
   std::size_t threads = 2;
-  std::vector<std::uint64_t> fault_seeds{7, 19, 2027};
   bool check_execution = true;
   std::string out_dir = ".";
   std::string replay_file;
@@ -85,15 +82,6 @@ bool ParseFlags(int argc, char** argv, Flags& flags) {
     } else if (arg.rfind("--threads=", 0) == 0 &&
                ParseUint(value_of("--threads="), n)) {
       flags.threads = static_cast<std::size_t>(n);
-    } else if (arg.rfind("--fault-seeds=", 0) == 0) {
-      flags.fault_seeds.clear();
-      std::stringstream ss{std::string(value_of("--fault-seeds="))};
-      std::string item;
-      while (std::getline(ss, item, ',')) {
-        if (item.empty()) continue;
-        if (!ParseUint(item, n)) return false;
-        flags.fault_seeds.push_back(n);
-      }
     } else if (arg == "--no-exec") {
       flags.check_execution = false;
     } else if (arg.rfind("--out-dir=", 0) == 0) {
@@ -115,7 +103,6 @@ bool ParseFlags(int argc, char** argv, Flags& flags) {
 testcheck::CheckOptions MakeCheckOptions(const Flags& flags) {
   testcheck::CheckOptions options;
   options.threads = flags.threads;
-  options.fault_seeds = flags.fault_seeds;
   options.check_execution = flags.check_execution;
   return options;
 }

@@ -30,11 +30,7 @@
 //   \revoke S a,b [on l=r]  remove that exact rule (same incremental path)
 //   \requestor NAME   deliver results to this server ('none' to reset)
 //   \enforce on|off   toggle runtime release enforcement
-//   \faults SPEC|off  inject faults (seed=N,drop=P,down=S@A..B,kill=S@A)
 //   \help \quit
-//
-// --faults SPEC on the command line pre-installs the same fault schedule;
-// each query replays it from a fresh fault model, so runs are reproducible.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -200,8 +196,6 @@ class Shell {
     } else if (cmd == "\\enforce") {
       enforce_ = arg != "off";
       std::printf("runtime enforcement %s\n", enforce_ ? "on" : "off");
-    } else if (cmd == "\\faults") {
-      SetFaults(arg);
     } else {
       std::printf("unknown command; \\help lists commands\n");
     }
@@ -268,14 +262,6 @@ class Shell {
       options.enforce_releases = enforce_;
       options.requestor = requestor_;
       options.threads = ExecThreads();
-      // Each query replays the installed schedule from a fresh fault model,
-      // so the same seed reproduces the same drops and recoveries.
-      std::optional<exec::FaultModel> faults;
-      if (fault_options_) {
-        faults.emplace(*fault_options_);
-        options.faults = &*faults;
-        options.failover_planner = PlannerOptions();
-      }
       auto result = executor.Execute(plan, sp.assignment, options);
       if (!result.ok()) {
         std::printf("execution error: %s\n", result.status().ToString().c_str());
@@ -286,21 +272,6 @@ class Shell {
                   cat_.server(result->result_server).name.c_str(),
                   result->network.total_messages(),
                   result->network.total_bytes());
-      const exec::RecoveryStats& rec = result->recovery;
-      if (rec.retries > 0 || rec.failovers > 0) {
-        std::string excluded;
-        for (catalog::ServerId s : rec.excluded_servers) {
-          if (!excluded.empty()) excluded += ", ";
-          excluded += cat_.server(s).name;
-        }
-        std::printf(
-            "recovered: %zu retry(ies) over %zu transient fault(s), "
-            "%ldus of backoff, %zu failover(s)%s%s\n",
-            rec.retries, rec.transient_faults,
-            static_cast<long>(rec.backoff_wait_us), rec.failovers,
-            excluded.empty() ? "" : "; excluded: ",
-            excluded.c_str());
-      }
     });
   }
 
@@ -316,12 +287,6 @@ class Shell {
       options.enforce_releases = enforce_;
       options.requestor = requestor_;
       options.threads = ExecThreads();
-      std::optional<exec::FaultModel> faults;
-      if (fault_options_) {
-        faults.emplace(*fault_options_);
-        options.faults = &*faults;
-        options.failover_planner = PlannerOptions();
-      }
       obs::QueryProfile profile;
       options.profile = &profile;
       auto result = executor.Execute(plan, sp.assignment, options);
@@ -502,29 +467,6 @@ class Shell {
     }
   }
 
-  void SetFaults(std::string_view arg) {
-    if (arg.empty() || arg == "off") {
-      fault_options_.reset();
-      std::printf("fault injection off\n");
-      return;
-    }
-    auto spec = exec::ParseFaultSpec(arg);
-    if (!spec.ok()) {
-      std::printf("error: %s\n", spec.status().ToString().c_str());
-      return;
-    }
-    auto options = spec->Resolve(cat_);
-    if (!options.ok()) {
-      std::printf("error: %s\n", options.status().ToString().c_str());
-      return;
-    }
-    fault_options_ = std::move(*options);
-    std::printf(
-        "fault injection on: seed=%llu, drop=%.3f, %zu outage window(s)\n",
-        static_cast<unsigned long long>(fault_options_->seed),
-        fault_options_->drop_probability, fault_options_->outages.size());
-  }
-
   void SetRequestor(std::string_view arg) {
     if (arg == "none" || arg.empty()) {
       requestor_.reset();
@@ -571,7 +513,6 @@ class Shell {
       "  \\revoke S a[,b] [on l=r[,l=r]] remove that exact rule\n"
       "  \\requestor NAME    deliver results to this server (or 'none')\n"
       "  \\enforce on|off    toggle runtime enforcement\n"
-      "  \\faults SPEC|off   inject faults: seed=N,drop=P,down=S@A..B,kill=S@A\n"
       "  \\quit              exit\n";
 
   catalog::Catalog cat_;
@@ -591,16 +532,6 @@ class Shell {
   std::unique_ptr<serve::FrontDoor> front_door_;
   std::optional<catalog::ServerId> requestor_;
   bool enforce_ = true;
-  /// Installed fault schedule; every query replays it from a fresh model.
-  std::optional<exec::FaultModelOptions> fault_options_;
-
- public:
-  /// Installs a --faults spec from the command line (after construction, so
-  /// server names resolve against the loaded federation).
-  bool InstallFaultSpec(std::string_view spec_text) {
-    SetFaults(spec_text);
-    return fault_options_.has_value() || spec_text == "off";
-  }
 };
 
 }  // namespace
@@ -609,7 +540,6 @@ int main(int argc, char** argv) {
   std::size_t threads = 0;  // 0 = hardware concurrency
   std::size_t clients = 8;
   const char* fed_path = nullptr;
-  const char* fault_spec = nullptr;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--clients") {
@@ -634,26 +564,17 @@ int main(int argc, char** argv) {
         return 1;
       }
       threads = static_cast<std::size_t>(parsed);
-    } else if (arg == "--faults") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr,
-                     "--faults requires a spec "
-                     "(seed=N,drop=P,down=S@A..B,kill=S@A)\n");
-        return 1;
-      }
-      fault_spec = argv[++i];
     } else if (fed_path == nullptr) {
       fed_path = argv[i];
     } else {
       std::fprintf(stderr,
                    "usage: cisqpsh [--threads N] [--clients N] "
-                   "[--faults SPEC] [federation.fed]\n");
+                   "[federation.fed]\n");
       return 1;
     }
   }
   const auto run = [&](catalog::Catalog cat, authz::AuthorizationSet auths) {
     Shell shell(std::move(cat), std::move(auths), threads, clients);
-    if (fault_spec != nullptr && !shell.InstallFaultSpec(fault_spec)) return 1;
     return shell.Run();
   };
   if (fed_path != nullptr) {

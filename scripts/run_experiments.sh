@@ -6,8 +6,8 @@
 #
 #   scripts/run_experiments.sh [--threads N] [build-dir]
 #
-# --threads N pins the parallelism of the chase / plan-search stages
-# (default: hardware concurrency; results are identical at any setting).
+# --threads N pins the parallelism of the plan-search stages (default:
+# hardware concurrency; results are identical at any setting).
 set -euo pipefail
 
 THREADS=""

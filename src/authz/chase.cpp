@@ -1,51 +1,10 @@
 #include "authz/chase.hpp"
 
-#include <algorithm>
-#include <utility>
-#include <vector>
-
-#include "authz/chase_core.hpp"
-#include "common/thread_pool.hpp"
+#include "authz/incremental.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace cisqp::authz {
-namespace {
-
-using chase_internal::EdgeIndex;
-using chase_internal::RulePool;
-
-/// One server's closure, produced independently on a pool worker.
-struct ServerClosure {
-  Status status;  ///< kResourceExhausted when the per-server cap tripped
-  std::vector<std::pair<IdSet, JoinPath>> rules;
-  ChaseStats stats;
-};
-
-/// Semi-naïve fixpoint for one server (chase_core.hpp): seed the pool with
-/// the input rules and run the loop with everything as the initial delta.
-ServerClosure CloseServer(const catalog::Catalog& cat, const EdgeIndex& index,
-                          const std::vector<Authorization>& input,
-                          catalog::ServerId server,
-                          const ChaseOptions& options) {
-  ServerClosure out;
-  RulePool pool(index);
-  for (const Authorization& auth : input) {
-    pool.AddIfNovel(auth.attributes, auth.path);
-  }
-
-  out.status = chase_internal::RunSemiNaive(cat, index, pool, 0, server,
-                                            options, out.stats);
-  if (!out.status.ok()) return out;
-
-  out.rules.reserve(pool.size());
-  for (const RulePool::Rule& rule : pool.rules()) {
-    out.rules.emplace_back(rule.attrs, rule.path);
-  }
-  return out;
-}
-
-}  // namespace
 
 Result<AuthorizationSet> ChaseClosure(const catalog::Catalog& cat,
                                       const AuthorizationSet& auths,
@@ -53,61 +12,15 @@ Result<AuthorizationSet> ChaseClosure(const catalog::Catalog& cat,
                                       ChaseStats* stats) {
   CISQP_TRACE_SPAN(chase_span, "authz.chase");
   chase_span.AddAttribute("input_rules", auths.size());
-  const EdgeIndex index(cat);
-  const std::size_t servers = cat.server_count();
-
-  std::vector<std::vector<Authorization>> inputs(servers);
-  for (catalog::ServerId server = 0; server < servers; ++server) {
-    inputs[server] = auths.ForServer(server);
-  }
-
-  // Per-server closures are independent; fan them out and reduce in server
-  // order so the result is identical at every thread count.
-  const std::size_t threads =
-      options.threads == 0 ? ThreadPool::HardwareConcurrency() : options.threads;
-  chase_span.AddAttribute("threads", threads);
-  std::vector<ServerClosure> closures(servers);
-  {
-    ThreadPool pool(std::min(threads, std::max<std::size_t>(servers, 1)));
-    pool.ParallelFor(servers, [&](std::size_t server) {
-      closures[server] =
-          CloseServer(cat, index, inputs[server],
-                      static_cast<catalog::ServerId>(server), options);
-    });
-  }
-
-  ChaseStats local_stats;
-  AuthorizationSet closed;
-  for (catalog::ServerId server = 0; server < servers; ++server) {
-    ServerClosure& closure = closures[server];
-    CISQP_RETURN_IF_ERROR(closure.status);
-    local_stats.iterations += closure.stats.iterations;
-    local_stats.pairs_considered += closure.stats.pairs_considered;
-    local_stats.derived_rules += closure.stats.derived_rules;
-    // Each task is individually capped, but the cap is a whole-closure
-    // budget: enforce it over the ordered running total as the sequential
-    // fixpoint did.
-    if (local_stats.derived_rules > options.max_derived_rules) {
-      return chase_internal::ExceededCap(options);
-    }
-    for (auto& [attrs, path] : closure.rules) {
-      const Status status =
-          closed.Add(cat, Authorization{std::move(attrs), std::move(path), server});
-      // Exact duplicates cannot arise (the pool dedups); any failure here is
-      // a malformed *input* rule that AuthorizationSet::Add would also have
-      // rejected, so surface it.
-      if (!status.ok() && status.code() != StatusCode::kAlreadyExists) {
-        return status;
-      }
-    }
-  }
-
+  CISQP_ASSIGN_OR_RETURN(IncrementalClosure built,
+                         IncrementalClosure::Build(cat, auths, options));
+  const ChaseStats& local_stats = built.stats();
   CISQP_METRIC_ADD("chase.derived_rules", local_stats.derived_rules);
   CISQP_METRIC_ADD("chase.pairs_considered", local_stats.pairs_considered);
   chase_span.AddAttribute("derived_rules", local_stats.derived_rules);
   chase_span.AddAttribute("iterations", local_stats.iterations);
   if (stats != nullptr) *stats = local_stats;
-  return closed;
+  return built.closed();
 }
 
 }  // namespace cisqp::authz

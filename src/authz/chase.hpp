@@ -20,9 +20,10 @@
 // whole pool — every unordered rule pair is examined exactly once, in the
 // first round after its younger member appeared — and a per-endpoint index
 // over the schema's join edges restricts each pair to the edges it can
-// actually fire. Per-server closures are independent, so they fan out
-// across a ThreadPool; results merge in server order, which keeps the
-// closure, the stats, and the cap error deterministic at any thread count.
+// actually fire. Per-server closures are independent and are chased one
+// server at a time on the calling thread by IncrementalClosure::Build
+// (incremental.hpp), the build the serving front door maintains across
+// grants and revokes; ChaseClosure returns that build's closure.
 #pragma once
 
 #include "authz/authorization.hpp"
@@ -36,10 +37,6 @@ struct ChaseOptions {
   std::size_t max_derived_rules = 100000;
   /// Cap on join-path length (atoms) of derived rules; 0 means unlimited.
   std::size_t max_path_atoms = 0;
-  /// Parallelism for the per-server closures: 0 means hardware concurrency,
-  /// 1 runs strictly on the calling thread. The result is identical at any
-  /// setting (closures are per-server and the merge is ordered).
-  std::size_t threads = 0;
 };
 
 struct ChaseStats {
@@ -48,8 +45,12 @@ struct ChaseStats {
   std::size_t pairs_considered = 0;///< (rule, rule, edge) combinations tried
 };
 
-/// Returns `auths` closed under the derivation above. The input set is not
-/// modified; the result contains every input rule plus all derived ones.
+/// Returns the canonical closure of `auths` under the derivation above:
+/// IncrementalClosure::Build(cat, auths, options)'s closed(), with Build's
+/// stats in `stats`. Canonical means minimized — a rule whose attributes
+/// are a subset of a same-path rule's is dropped, so an input rule that a
+/// derived grant on its path covers is absent — and sorted within each
+/// path. Every view an input rule authorizes stays authorized.
 Result<AuthorizationSet> ChaseClosure(const catalog::Catalog& cat,
                                       const AuthorizationSet& auths,
                                       const ChaseOptions& options = {},

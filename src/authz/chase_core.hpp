@@ -1,11 +1,11 @@
-// Internal machinery shared by the batch chase (chase.cpp) and the
-// incremental closure maintainer (incremental.cpp): the edge-visibility
-// bitsets, the per-endpoint join-edge index, the subsumption-aware rule
-// pool, and the semi-naïve fixpoint loop itself.
+// Internal machinery of the chase closure (incremental.cpp): the
+// edge-visibility bitsets, the per-endpoint join-edge index, the
+// subsumption-aware rule pool, and the semi-naïve fixpoint loop itself.
 //
-// The loop is parameterized by `delta_begin`: the batch chase starts it at 0
-// (every initial rule is delta), while an incremental grant appends the new
-// rule to a persistent pool and starts the loop at the old pool size — the
+// The loop is parameterized by `delta_begin`: a from-scratch server chase
+// (IncrementalClosure::Build, a revoke's rechase) starts it at 0 (every
+// initial rule is delta), while an incremental grant appends the new rule
+// to a persistent pool and starts the loop at the old pool size — the
 // textbook semi-naïve delta round, so a grant only pays for the pairs its
 // own derivations introduce. Nothing here is part of the public authz API.
 #pragma once
@@ -56,7 +56,7 @@ class EdgeBits {
 
 /// cat.join_edges() indexed by endpoint attribute: for each attribute, the
 /// edges it is the left (resp. right) endpoint of. Built once per closure
-/// and shared read-only by every server task.
+/// and shared read-only by every server's pool.
 class EdgeIndex {
  public:
   explicit EdgeIndex(const catalog::Catalog& cat) : cat_(cat) {

@@ -36,9 +36,9 @@ Result<IncrementalClosure> IncrementalClosure::Build(
   inc.derived_.resize(servers, 0);
   for (catalog::ServerId server = 0; server < servers; ++server) {
     CISQP_ASSIGN_OR_RETURN(RulePool pool, inc.RechaseServer(server));
-    // Batch semantics: each server chases under a fresh per-server counter,
-    // and the whole-closure budget is enforced over the running total in
-    // server order — the same two cap sites ChaseClosure has.
+    // Each server chases under a fresh per-server counter, and the
+    // whole-closure budget is enforced over the running total in server
+    // order.
     CISQP_RETURN_IF_ERROR(inc.CheckClosureCap());
     inc.canon_[server] = Canonicalize(pool);
     inc.pools_.push_back(std::move(pool));
@@ -62,10 +62,10 @@ Result<RulePool> IncrementalClosure::RechaseServer(catalog::ServerId server) {
   for (const Authorization& auth : base_.ForServer(server)) {
     pool.AddIfNovel(auth.attributes, auth.path);
   }
-  // Fresh counter: the cap bounds this from-scratch chase of one server
-  // (batch semantics), never chase work accumulated over the object's
-  // lifetime — a long edit history must not trip it spuriously. stats_
-  // still accumulates the work for reporting.
+  // Fresh counter: the cap bounds this from-scratch chase of one server,
+  // never chase work accumulated over the object's lifetime — a long edit
+  // history must not trip it spuriously. stats_ still accumulates the work
+  // for reporting.
   ChaseStats local;
   const Status run = chase_internal::RunSemiNaive(*cat_, *index_, pool, 0,
                                                   server, options_, local);

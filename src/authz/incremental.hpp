@@ -1,14 +1,15 @@
 // IncrementalClosure: delta maintenance of the chase closure under
 // grant/revoke edits (DESIGN.md §16).
 //
-// The batch chase (chase.cpp) recomputes every server's fixpoint from
-// scratch on any policy change. This class keeps the per-server semi-naïve
-// rule pools alive between edits and updates them as deltas:
+// Build chases every server's fixpoint from scratch, one server at a time
+// on the calling thread; it is the system's one chase (ChaseClosure in
+// chase.hpp returns its closure). The object then keeps the per-server
+// semi-naïve rule pools alive between edits and updates them as deltas:
 //
 //   grant   the new rule is appended to its server's persistent pool and
 //           the semi-naïve loop resumes with the pool tail as the delta —
-//           exactly the round the batch chase would have run had the rule
-//           been present from the start (closure confluence: the minimized
+//           exactly the round Build would have run had the rule been
+//           present from the start (closure confluence: the minimized
 //           fixpoint is insertion-order independent), paying only for the
 //           pairs the new rule introduces. A grant subsumed by an existing
 //           rule is a no-op on the closure.
@@ -33,9 +34,10 @@
 // so the delta degrades to `full` and the caches sweep as before.
 //
 // closed() is maintained in canonical form (minimized, grants sorted within
-// each path) and equals Canonicalize(ChaseClosure(base)) after every edit —
-// the invariant the policy-edit fuzz arm checks against the from-scratch
-// oracle, byte for byte.
+// each path) and equals a fresh Build(base).closed() after every edit — the
+// invariant the policy-edit fuzz arm checks byte for byte, beside a diff
+// against NaiveChaseOracle (testcheck/oracle.hpp), an independent fixpoint
+// that shares no code with this one.
 #pragma once
 
 #include <map>
@@ -71,9 +73,9 @@ struct ClosureDelta {
 
 class IncrementalClosure {
  public:
-  /// Chases `base` once (batch semantics, including the derived-rules cap:
-  /// kResourceExhausted when it trips) and retains the per-server pools for
-  /// later edits. `cat` must outlive the object.
+  /// Chases `base` from scratch, one server at a time (including the
+  /// derived-rules cap: kResourceExhausted when it trips), and retains the
+  /// per-server pools for later edits. `cat` must outlive the object.
   static Result<IncrementalClosure> Build(const catalog::Catalog& cat,
                                           const AuthorizationSet& base,
                                           const ChaseOptions& options = {});
@@ -89,7 +91,7 @@ class IncrementalClosure {
   /// only. The ChaseOptions::max_derived_rules cap is NOT applied to this
   /// lifetime total: it bounds the *current closure* — each per-server
   /// chase run plus the sum of per-server derived counts, the same budget
-  /// the batch chase enforces — so an arbitrarily long edit history whose
+  /// Build enforces — so an arbitrarily long edit history whose
   /// every intermediate closure fits under the cap never trips it.
   const ChaseStats& stats() const noexcept { return stats_; }
 
@@ -123,7 +125,7 @@ class IncrementalClosure {
   Result<chase_internal::RulePool> RechaseServer(catalog::ServerId server);
 
   /// kResourceExhausted when the per-server derived counts sum past
-  /// max_derived_rules — the batch chase's whole-closure budget.
+  /// max_derived_rules — Build's whole-closure budget.
   Status CheckClosureCap() const;
 
   const catalog::Catalog* cat_;

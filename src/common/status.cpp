@@ -10,7 +10,6 @@ std::string_view StatusCodeName(StatusCode code) noexcept {
     case StatusCode::kAlreadyExists: return "already_exists";
     case StatusCode::kFailedPrecondition: return "failed_precondition";
     case StatusCode::kUnauthorized: return "unauthorized";
-    case StatusCode::kUnavailable: return "unavailable";
     case StatusCode::kInfeasible: return "infeasible";
     case StatusCode::kResourceExhausted: return "resource_exhausted";
     case StatusCode::kInternal: return "internal";
@@ -46,9 +45,6 @@ Status FailedPreconditionError(std::string message) {
 }
 Status UnauthorizedError(std::string message) {
   return Status(StatusCode::kUnauthorized, std::move(message));
-}
-Status UnavailableError(std::string message) {
-  return Status(StatusCode::kUnavailable, std::move(message));
 }
 Status InfeasibleError(std::string message) {
   return Status(StatusCode::kInfeasible, std::move(message));

@@ -34,7 +34,6 @@ enum class StatusCode {
   kAlreadyExists,     ///< an entity with that name/id is already registered
   kFailedPrecondition,///< operation not valid in the current state
   kUnauthorized,      ///< a data release is not covered by any authorization
-  kUnavailable,       ///< a server/link failure the execution could not recover from
   kInfeasible,        ///< no safe executor assignment exists (Problem 4.1)
   kResourceExhausted, ///< a configured cap (chase derivations, rows) was hit
   kInternal,          ///< invariant violation escaped as a recoverable error
@@ -80,7 +79,6 @@ Status NotFoundError(std::string message);
 Status AlreadyExistsError(std::string message);
 Status FailedPreconditionError(std::string message);
 Status UnauthorizedError(std::string message);
-Status UnavailableError(std::string message);
 Status InfeasibleError(std::string message);
 Status ResourceExhaustedError(std::string message);
 Status InternalError(std::string message);

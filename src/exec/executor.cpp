@@ -1,12 +1,12 @@
 #include "exec/executor.hpp"
 
-#include <algorithm>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "algebra/vectorized.hpp"
 #include "authz/audit.hpp"
@@ -52,10 +52,10 @@ int LaneOf(catalog::ServerId server) noexcept {
 class Run {
  public:
   Run(const Cluster& cluster, const authz::Policy& auths,
-      const plan::QueryPlan& plan, planner::Assignment assignment,
+      const plan::QueryPlan& plan, const planner::Assignment& assignment,
       const ExecutionOptions& options)
-      : cluster_(cluster), auths_(auths), plan_(plan),
-        assignment_(std::move(assignment)), options_(options),
+      : cluster_(cluster), auths_(auths), assignment_(assignment),
+        options_(options),
         profile_(options.profile),
         profiles_(planner::ComputeNodeProfiles(cluster.catalog(), plan)) {
     // Resolve the kernel parallelism once per execution: an explicit shared
@@ -71,7 +71,7 @@ class Run {
   }
 
   Result<ExecutionResult> Execute(const plan::PlanNode& root) {
-    Result<ExecutionResult> result = ExecuteWithRecovery(root);
+    Result<ExecutionResult> result = ExecuteTree(root);
     if (options_.network_out != nullptr) {
       if (result.ok()) {
         // On success the transfer log already moved into result->network;
@@ -79,8 +79,8 @@ class Run {
         // (per-transfer descriptions and all) into a second copy.
         *options_.network_out = NetworkStats{};
       } else {
-        // Publish the transfer log when execution failed: enforcement and
-        // fault tests assert what was — and was not — shipped.
+        // Publish the transfer log when execution failed: enforcement tests
+        // assert what was — and was not — shipped.
         *options_.network_out = std::move(network_);
       }
     }
@@ -88,7 +88,7 @@ class Run {
   }
 
  private:
-  Result<ExecutionResult> ExecuteWithRecovery(const plan::PlanNode& root) {
+  Result<ExecutionResult> ExecuteTree(const plan::PlanNode& root) {
     CISQP_TRACE_SPAN(span, "exec.execute");
     CISQP_METRIC_INC("exec.executions");
     if (profile_ != nullptr || span.active()) {
@@ -111,56 +111,6 @@ class Run {
       }
     }
     const std::int64_t start_us = obs::NowMicros();
-    Result<Located> located = ExecOnce(root);
-    // Authorization-aware failover: a permanent server failure excludes the
-    // dead servers and replans over the survivors. Every round excludes at
-    // least one new server, so the loop is bounded by the federation size.
-    while (!located.ok() &&
-           located.status().code() == StatusCode::kUnavailable &&
-           options_.failover && options_.faults != nullptr) {
-      std::vector<catalog::ServerId> newly_dead;
-      for (catalog::ServerId s : options_.faults->PermanentlyDown(clock_us_)) {
-        if (std::find(recovery_.excluded_servers.begin(),
-                      recovery_.excluded_servers.end(),
-                      s) == recovery_.excluded_servers.end()) {
-          newly_dead.push_back(s);
-        }
-      }
-      // Pure transient exhaustion (link flake, finite outage outlasting the
-      // retry budget): no server to exclude, failover cannot help.
-      if (newly_dead.empty()) break;
-      recovery_.excluded_servers.insert(recovery_.excluded_servers.end(),
-                                        newly_dead.begin(), newly_dead.end());
-      CISQP_RETURN_IF_ERROR(ReplanOverSurvivors());
-      located = ExecOnce(root);
-    }
-    if (!located.ok()) return located.status();
-
-    ExecutionResult result;
-    result.table = located->batch.MaterializeRows();
-    result.result_server = located->server;
-    result.network = std::move(network_);
-    result.load = std::move(load_);
-    result.duration_us = obs::NowMicros() - start_us;
-    result.recovery = std::move(recovery_);
-    if (profile_ != nullptr) profile_->duration_us = result.duration_us;
-    if (span.active()) {
-      span.AddAttribute("result_rows", result.table.row_count());
-      span.AddAttribute("transfers", result.network.total_messages());
-      span.AddAttribute("bytes_shipped", result.network.total_bytes());
-      if (result.recovery.retries > 0) {
-        span.AddAttribute("retries", result.recovery.retries);
-      }
-      if (result.recovery.failovers > 0) {
-        span.AddAttribute("failovers", result.recovery.failovers);
-      }
-    }
-    return result;
-  }
-
-  /// One full execution attempt under the current assignment, including the
-  /// final delivery to the requestor.
-  Result<Located> ExecOnce(const plan::PlanNode& root) {
     CISQP_ASSIGN_OR_RETURN(Located located, Exec(root));
     if (options_.requestor && *options_.requestor != located.server) {
       CISQP_RETURN_IF_ERROR(ShipBatch(root.id, located.server,
@@ -170,38 +120,20 @@ class Run {
                                       obs::AuditSite::kRequestor));
       located.server = *options_.requestor;
     }
-    return located;
-  }
 
-  /// Re-runs candidate selection (Find_candidates / Assign_ex) over the
-  /// surviving servers. The probes audit under the failover site; runtime
-  /// enforcement still re-checks Def. 3.3 on every replanned transfer, so
-  /// no unsafe release can slip through even a buggy replan.
-  Status ReplanOverSurvivors() {
-    CISQP_TRACE_SPAN(span, "exec.failover_replan");
-    CISQP_METRIC_INC("exec.failovers");
-    ++recovery_.failovers;
+    ExecutionResult result;
+    result.table = located.batch.MaterializeRows();
+    result.result_server = located.server;
+    result.network = std::move(network_);
+    result.load = std::move(load_);
+    result.duration_us = obs::NowMicros() - start_us;
+    if (profile_ != nullptr) profile_->duration_us = result.duration_us;
     if (span.active()) {
-      std::string excluded;
-      for (catalog::ServerId s : recovery_.excluded_servers) {
-        if (!excluded.empty()) excluded += ',';
-        excluded += cat().server(s).name;
-      }
-      span.AddAttribute("excluded", excluded);
+      span.AddAttribute("result_rows", result.table.row_count());
+      span.AddAttribute("transfers", result.network.total_messages());
+      span.AddAttribute("bytes_shipped", result.network.total_bytes());
     }
-    planner::SafePlannerOptions opts = options_.failover_planner;
-    opts.excluded_servers = recovery_.excluded_servers;
-    opts.audit_site = obs::AuditSite::kFailover;
-    if (options_.requestor) opts.requestor = options_.requestor;
-    planner::SafePlanner planner(cat(), auths_, opts);
-    Result<planner::SafePlan> replanned = planner.Plan(plan_);
-    if (!replanned.ok()) {
-      return UnavailableError(
-          "failover could not replan over the surviving servers: " +
-          replanned.status().message());
-    }
-    assignment_ = std::move(replanned->assignment);
-    return Status::Ok();
+    return result;
   }
 
   const catalog::Catalog& cat() const { return cluster_.catalog(); }
@@ -222,8 +154,7 @@ class Run {
   }
 
   /// Fills the profile slot of `node` for one operator invocation, plus the
-  /// per-operator metrics histograms. Counters accumulate across failover
-  /// re-runs (invocations tells them apart).
+  /// per-operator metrics histograms.
   void ProfileOp(const plan::PlanNode& node, std::string_view op,
                  catalog::ServerId server, std::uint64_t rows_in_left,
                  std::uint64_t rows_in_right, std::uint64_t rows_out,
@@ -269,60 +200,6 @@ class Run {
     }
   }
 
-  /// Runs one transfer through the fault model: transient drops re-send
-  /// with exponential backoff on the virtual clock, a permanently-down
-  /// endpoint aborts as kUnavailable (failover's cue).
-  Status Deliver(obs::Span& span, catalog::ServerId from,
-                 catalog::ServerId to) {
-    const RetryPolicy& retry = options_.retry;
-    std::int64_t backoff = retry.initial_backoff_us;
-    for (int attempt = 1;; ++attempt) {
-      const ShipFate fate = options_.faults->OnShip(from, to, clock_us_);
-      switch (fate.outcome) {
-        case ShipOutcome::kDelivered:
-          if (attempt > 1 && span.active()) {
-            span.AddAttribute("attempts", attempt);
-          }
-          return Status::Ok();
-        case ShipOutcome::kServerDown:
-          CISQP_METRIC_INC("exec.permanent_faults");
-          if (span.active()) {
-            span.AddAttribute("fault", "server_down");
-            span.AddAttribute("down_server", cat().server(fate.down_server).name);
-          }
-          return UnavailableError("server '" +
-                                  cat().server(fate.down_server).name +
-                                  "' is permanently down");
-        case ShipOutcome::kTransientFault:
-          ++recovery_.transient_faults;
-          CISQP_METRIC_INC("exec.transient_faults");
-          if (attempt >= retry.max_attempts) {
-            if (span.active()) span.AddAttribute("fault", "retries_exhausted");
-            return UnavailableError(
-                "transfer " + cat().server(from).name + " -> " +
-                cat().server(to).name + " dropped " +
-                std::to_string(attempt) + " time(s); retries exhausted");
-          }
-          if (clock_us_ + backoff > retry.deadline_us) {
-            if (span.active()) span.AddAttribute("fault", "deadline_exceeded");
-            return UnavailableError(
-                "per-query deadline (" + std::to_string(retry.deadline_us) +
-                "us) exceeded while backing off for " +
-                cat().server(from).name + " -> " + cat().server(to).name);
-          }
-          clock_us_ += backoff;
-          recovery_.backoff_wait_us += backoff;
-          backoff = std::min<std::int64_t>(
-              static_cast<std::int64_t>(static_cast<double>(backoff) *
-                                        retry.backoff_multiplier),
-              retry.max_backoff_us);
-          ++recovery_.retries;
-          CISQP_METRIC_INC("exec.retries");
-          break;
-      }
-    }
-  }
-
   /// Ships `batch` after materializing it, and rebinds the batch to the
   /// materialized table so downstream operators reuse the shipped form
   /// instead of re-gathering the view.
@@ -337,8 +214,8 @@ class Run {
 
   /// Moves `table` from one server to another: accounts the transfer and,
   /// under enforcement, checks (and audits) that the receiver may view
-  /// `profile`. The Def. 3.3 check runs before any delivery attempt — a
-  /// denied transfer is never even offered to the network.
+  /// `profile`. The Def. 3.3 check runs before the transfer is recorded — a
+  /// denied transfer never reaches the network log.
   Status Ship(int node_id, catalog::ServerId from, catalog::ServerId to,
               const storage::ColumnarTable& table,
               const authz::Profile& profile, std::string description,
@@ -368,9 +245,6 @@ class Run {
           "runtime enforcement: server '" + cat().server(to).name +
           "' is not authorized to view " + profile.ToString(cat()) +
           " (node n" + std::to_string(node_id) + ": " + description + ")");
-    }
-    if (options_.faults != nullptr) {
-      CISQP_RETURN_IF_ERROR(Deliver(span, from, to));
     }
     if (profile_ != nullptr) {
       obs::TransferStats transfer;
@@ -596,8 +470,7 @@ class Run {
 
   const Cluster& cluster_;
   const authz::Policy& auths_;
-  const plan::QueryPlan& plan_;
-  planner::Assignment assignment_;  ///< by value: failover replaces it
+  const planner::Assignment& assignment_;
   const ExecutionOptions& options_;
   algebra::MorselContext ctx_;             ///< kernel parallelism, resolved
   obs::QueryProfile* profile_ = nullptr;   ///< opt-in per-query profile sink
@@ -605,8 +478,6 @@ class Run {
   std::vector<authz::Profile> profiles_;
   NetworkStats network_;
   std::map<catalog::ServerId, ServerLoad> load_;
-  RecoveryStats recovery_;
-  std::int64_t clock_us_ = 0;  ///< virtual query time (advanced by backoff)
 };
 
 Result<algebra::ColumnarBatch> CentralizedRec(const Cluster& cluster,
@@ -645,6 +516,12 @@ Result<ExecutionResult> DistributedExecutor::Execute(
   CISQP_RETURN_IF_ERROR(plan.Validate(cluster_.catalog()));
   if (assignment.size() != static_cast<std::size_t>(plan.node_count())) {
     return InvalidArgumentError("assignment size does not match plan");
+  }
+  if (options.requestor &&
+      *options.requestor >= cluster_.catalog().server_count()) {
+    return InvalidArgumentError("requestor server id " +
+                                std::to_string(*options.requestor) +
+                                " is not in the catalog");
   }
   Run run(cluster_, auths_, plan, assignment, options);
   return run.Execute(*plan.root());

@@ -7,55 +7,23 @@
 // *physical* shipment is checked against the authorization set with the
 // profile of the shipped relation before the receiving server sees a byte.
 // A safe assignment never trips it (tests assert this); a hand-crafted unsafe
-// assignment is stopped at the first unauthorized transfer.
-//
-// Fault tolerance (DESIGN.md §10): when a FaultModel is attached, every
-// shipment attempt can be dropped (transient) or fail permanently. Transient
-// faults retry with exponential backoff on a per-query *virtual* clock under
-// a per-query deadline; a permanent server failure triggers
-// authorization-aware failover — the plan is re-planned over the surviving
-// servers (SafePlanner with the dead servers excluded, audited under the
-// failover site) and re-executed, with Def. 3.3 re-checked at runtime on
-// every replanned transfer. Recovery can therefore never widen a release:
-// an unrecoverable query fails kUnavailable, an unsafe re-route kUnauthorized.
+// assignment is stopped at the first unauthorized transfer. Like the paper,
+// the executor assumes a fault-free federation: every shipment arrives.
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <optional>
 
 #include "algebra/vectorized.hpp"
 #include "authz/authorization.hpp"
 #include "exec/cluster.hpp"
-#include "exec/fault_model.hpp"
 #include "exec/network.hpp"
 #include "obs/profile.hpp"
 #include "planner/assignment.hpp"
 #include "planner/mode_views.hpp"
-#include "planner/safe_planner.hpp"
 
 namespace cisqp::exec {
-
-/// Re-send policy for transient faults. Backoff advances the query's
-/// virtual clock (no real sleeping): attempt k waits
-/// min(initial * multiplier^(k-1), max_backoff_us) before re-sending, and
-/// the query as a whole fails kUnavailable once the clock would pass
-/// `deadline_us`.
-struct RetryPolicy {
-  int max_attempts = 5;                  ///< send attempts per transfer
-  std::int64_t initial_backoff_us = 1000;
-  double backoff_multiplier = 2.0;
-  std::int64_t max_backoff_us = 256000;
-  std::int64_t deadline_us = 10000000;   ///< per-query virtual deadline
-};
-
-/// What recovery did during one execution (all zero on the happy path).
-struct RecoveryStats {
-  std::size_t transient_faults = 0;  ///< dropped attempts observed
-  std::size_t retries = 0;           ///< re-send attempts performed
-  std::size_t failovers = 0;         ///< replan-over-survivors rounds
-  std::int64_t backoff_wait_us = 0;  ///< virtual time spent backing off
-  /// Permanently-failed servers excluded from the plan, exclusion order.
-  std::vector<catalog::ServerId> excluded_servers;
-};
 
 struct ExecutionOptions {
   /// Check every physical transfer against the authorization set.
@@ -63,17 +31,6 @@ struct ExecutionOptions {
   /// Deliver the final result to this server (checked as a release when it
   /// differs from the root master).
   std::optional<catalog::ServerId> requestor;
-  /// Fault injector consulted on every shipment attempt; nullptr = the
-  /// fault-free federation the paper assumes.
-  FaultModel* faults = nullptr;
-  RetryPolicy retry;
-  /// Replan over surviving servers when a server fails permanently. When
-  /// false the same schedule fails with a typed kUnavailable instead.
-  bool failover = true;
-  /// Base planner options for the failover replan (third-party setting etc.).
-  /// The executor adds the dead-server exclusions, the requestor above, and
-  /// the kFailover audit site itself.
-  planner::SafePlannerOptions failover_planner;
   /// When set, receives the transfer log of a FAILED execution —
   /// ExecutionResult only exists on success, but enforcement tests must be
   /// able to assert what was (not) shipped before the error. On success the
@@ -117,7 +74,6 @@ struct ExecutionResult {
   NetworkStats network;
   std::map<catalog::ServerId, ServerLoad> load;  ///< per executing server
   std::int64_t duration_us = 0;  ///< total wall-clock execution time
-  RecoveryStats recovery;        ///< retries/failovers performed, if any
 };
 
 class DistributedExecutor {
@@ -127,8 +83,8 @@ class DistributedExecutor {
       : cluster_(cluster), auths_(auths) {}
 
   /// Executes `plan` under `assignment`. Fails with kUnauthorized when
-  /// enforcement trips, kUnavailable when injected faults exhaust recovery,
-  /// kInvalidArgument on malformed plans/assignments.
+  /// enforcement trips, kInvalidArgument on malformed plans or assignments
+  /// and on a requestor outside the catalog.
   Result<ExecutionResult> Execute(const plan::QueryPlan& plan,
                                   const planner::Assignment& assignment,
                                   const ExecutionOptions& options = {}) const;

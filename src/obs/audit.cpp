@@ -10,7 +10,6 @@ std::string_view AuditSiteName(AuditSite site) noexcept {
     case AuditSite::kVerifier: return "verifier";
     case AuditSite::kExecutor: return "executor";
     case AuditSite::kRequestor: return "requestor";
-    case AuditSite::kFailover: return "failover";
   }
   return "unknown";
 }

@@ -39,7 +39,6 @@ enum class AuditSite : std::uint8_t {
   kVerifier,   ///< independent assignment verification (Def. 3.3 per release)
   kExecutor,   ///< runtime release enforcement on a physical shipment
   kRequestor,  ///< final-result delivery check for the querying party
-  kFailover,   ///< mid-recovery replan probe over the surviving servers
 };
 
 std::string_view AuditSiteName(AuditSite site) noexcept;

@@ -30,7 +30,7 @@ struct OperatorStats {
   int node_id = -1;
   std::string op;           ///< "relation" / "select" / "project" / "join"
   std::string server;       ///< name of the executing (master) server
-  std::uint64_t invocations = 0;  ///< times the operator ran (failover reruns)
+  std::uint64_t invocations = 0;  ///< times the operator ran into this profile
   std::uint64_t batches = 0;      ///< batches processed (1 per invocation today)
   std::uint64_t rows_in_left = 0; ///< rows from the left/only child
   std::uint64_t rows_in_right = 0;///< rows from the right child (joins)

@@ -131,8 +131,8 @@ std::size_t HarvestActualCardinalities(const QueryPlan& plan,
     if (stats == nullptr || stats->invocations == 0) return;
     std::string signature = SubtreeSignature(node);
     if (!seen.insert(signature).second) return;
-    // Failover may run an operator more than once; feed back the per-run
-    // average so re-executions do not inflate the cardinality.
+    // A profile reused across executions counts every run; feed back the
+    // per-run average so re-executions do not inflate the cardinality.
     const double rows = static_cast<double>(stats->rows_out) /
                         static_cast<double>(stats->invocations);
     feedback.Record(std::move(signature), rows);

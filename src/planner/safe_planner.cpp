@@ -186,19 +186,11 @@ CandidateFinder::CandidateFinder(const catalog::Catalog& cat,
 
 bool CandidateFinder::CanView(const authz::Profile& profile,
                               catalog::ServerId server, int node_id,
-                              const char* role,
-                              std::optional<obs::AuditSite> site) {
+                              const char* role, obs::AuditSite site) {
   ++can_view_calls_;
   CISQP_METRIC_INC("planner.canview_probes");
-  return authz::AuditedCanView(cat_, auths_, profile, server,
-                               site.value_or(options_.audit_site), node_id,
+  return authz::AuditedCanView(cat_, auths_, profile, server, site, node_id,
                                role);
-}
-
-bool CandidateFinder::Excluded(catalog::ServerId server) const {
-  return std::find(options_.excluded_servers.begin(),
-                   options_.excluded_servers.end(),
-                   server) != options_.excluded_servers.end();
 }
 
 NodeCandidates CandidateFinder::Find(
@@ -208,19 +200,9 @@ NodeCandidates CandidateFinder::Find(
   switch (node.op) {
     case plan::PlanOp::kRelation: {
       state.profile = authz::Profile::OfBaseRelation(cat_, node.relation);
-      const catalog::ServerId home = cat_.relation(node.relation).server;
-      if (Excluded(home)) {
-        // The relation's only holder is gone; no candidate can exist.
-        if (rejections != nullptr) {
-          rejections->push_back(CandidateRejection{
-              home, FromChild::kSelf, ExecutionMode::kLocal,
-              "home server excluded (down)", state.profile});
-        }
-      } else {
-        state.candidates.push_back(
-            Candidate{home, FromChild::kSelf, 0, ExecutionMode::kLocal,
-                      std::nullopt});
-      }
+      state.candidates.push_back(
+          Candidate{cat_.relation(node.relation).server, FromChild::kSelf, 0,
+                    ExecutionMode::kLocal, std::nullopt});
       break;
     }
     case plan::PlanOp::kProject: {
@@ -358,7 +340,6 @@ void CandidateFinder::FindJoinCandidates(
   // full can execute the join as a proxy master.
   if (state.candidates.empty() && options_.allow_third_party) {
     for (catalog::ServerId t = 0; t < cat_.server_count(); ++t) {
-      if (Excluded(t)) continue;
       if (probe(views.right_full_view, t, FromChild::kThird,
                 ExecutionMode::kRegularJoin, "proxy") &&
           probe(views.left_full_view, t, FromChild::kThird,

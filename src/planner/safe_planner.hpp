@@ -40,17 +40,6 @@ struct SafePlannerOptions {
   /// When set, the plan is feasible only if this server may additionally
   /// view the root result profile (the party issuing the query).
   std::optional<catalog::ServerId> requestor;
-
-  /// Servers treated as nonexistent during candidate selection — the
-  /// executor's failover path replans over the surviving federation by
-  /// listing the permanently-failed servers here. A leaf whose home server
-  /// is excluded makes the plan infeasible: its base data is gone.
-  std::vector<catalog::ServerId> excluded_servers;
-
-  /// Audit site recorded for every CanView probe of this run. The default
-  /// is the planner site; the executor's failover replan tags its probes
-  /// kFailover so mid-recovery decisions are distinguishable in the log.
-  obs::AuditSite audit_site = obs::AuditSite::kPlanner;
 };
 
 /// Successful planning output.
@@ -96,16 +85,14 @@ class CandidateFinder {
                       const NodeCandidates* right,
                       std::vector<CandidateRejection>* rejections = nullptr);
 
-  /// Audited CanView probe of `node_id`, at `site` or the options' site.
+  /// Audited CanView probe of `node_id`, recorded at `site`.
   bool CanView(const authz::Profile& profile, catalog::ServerId server,
                int node_id, const char* role,
-               std::optional<obs::AuditSite> site = std::nullopt);
+               obs::AuditSite site = obs::AuditSite::kPlanner);
 
   std::size_t can_view_calls() const noexcept { return can_view_calls_; }
 
  private:
-  /// True iff failover excluded `server` from this run (treated as gone).
-  bool Excluded(catalog::ServerId server) const;
   void FindJoinCandidates(const plan::PlanNode& node, const NodeCandidates& l,
                           const NodeCandidates& r, NodeCandidates& state,
                           std::vector<CandidateRejection>* rejections);

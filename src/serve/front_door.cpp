@@ -104,6 +104,13 @@ Result<Response> FrontDoor::Serve(const Request& request) {
   const std::int64_t start_us = obs::NowMicros();
   requests_.fetch_add(1, std::memory_order_relaxed);
   CISQP_METRIC_INC("serve.requests");
+  // A requestor outside the catalog is malformed input, not a verdict:
+  // reject it before it costs a ticket, a plan, or a cache entry.
+  if (request.requestor && *request.requestor >= cat_.server_count()) {
+    return InvalidArgumentError("requestor server id " +
+                                std::to_string(*request.requestor) +
+                                " is not in the catalog");
+  }
 
   Response out;
   Result<AdmissionController::Ticket> admit = admission_.Admit(&out.queue_us);
@@ -228,18 +235,6 @@ void FrontDoor::RetireMemoCountersLocked() {
     retired_canview_hits_ += state_->memo->hits();
     retired_canview_misses_ += state_->memo->misses();
   }
-}
-
-void FrontDoor::SetPolicy(authz::AuthorizationSet auths) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  closure_.reset();  // wholesale replacement: rebuilt lazily from raw_
-  raw_ = std::move(auths);
-  RetireMemoCountersLocked();
-  state_.reset();
-  const std::uint64_t next =
-      epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
-  plan_cache_.InvalidateBefore(next);
-  CISQP_METRIC_INC("serve.policy_epoch_bumps");
 }
 
 Result<authz::ClosureDelta> FrontDoor::AddRule(const authz::Authorization& auth) {

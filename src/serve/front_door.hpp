@@ -20,7 +20,7 @@
 // The serving contract, enforced by the fuzz harness's serving arm: for any
 // fixed request, a cache-hit answer is byte-identical to the cold answer —
 // same table bytes on success, same typed status on failure. Policy changes
-// go through SetPolicy, AddRule or RevokeRule, each of which bumps the epoch;
+// go through AddRule or RevokeRule, each of which bumps the epoch;
 // entries of older epochs can never be served again (PlanCache checks the
 // stamp, the memo is per-epoch state), so staleness is structurally
 // impossible rather than probabilistically unlikely.
@@ -68,7 +68,7 @@ struct ServeOptions {
   // `chase.max_derived_rules`, the door serves the raw rules instead (sound
   // but refuses derivable-view queries), sweeps both caches on every edit,
   // and retries the chase once the rules change. The closure is built one
-  // server at a time on the calling thread, so `chase.threads` is unused.
+  // server at a time on the calling thread.
   authz::ChaseOptions chase;
 
   // Per-request execution defaults.
@@ -127,24 +127,19 @@ struct FrontDoorStats {
 class FrontDoor {
  public:
   /// The catalog, cluster, and stats must outlive the front door; the
-  /// policy is owned (SetPolicy replaces it). `stats` may be null (model
-  /// defaults drive the cost ranking).
+  /// policy is owned (AddRule and RevokeRule edit it). `stats` may be null
+  /// (model defaults drive the cost ranking).
   FrontDoor(const catalog::Catalog& cat, authz::AuthorizationSet auths,
             const exec::Cluster& cluster, const plan::StatsCatalog* stats,
             ServeOptions options = {});
 
   /// Serves one query end to end: admission, parse/bind, plan (cached or
   /// cold), execute. Thread-safe; call from any number of client threads.
-  /// Typed failures: kResourceExhausted (admission), kInvalidArgument
-  /// (parse/bind), kInfeasible (no safe assignment — cached like success),
-  /// kUnauthorized / kUnavailable (execution).
+  /// Typed failures: kInvalidArgument (a requestor outside the catalog,
+  /// checked before admission; parse/bind), kResourceExhausted (admission),
+  /// kInfeasible (no safe assignment — cached like success), kUnauthorized
+  /// (execution). Only kInfeasible is cached.
   Result<Response> Serve(const Request& request);
-
-  /// Installs a new rule set and bumps the policy epoch: the chase closure
-  /// is rebuilt lazily, plan-cache entries of older epochs are swept, and a
-  /// fresh CanView memo starts. In-flight requests finish against the epoch
-  /// they started under.
-  void SetPolicy(authz::AuthorizationSet auths);
 
   /// Grants one rule incrementally (DESIGN.md §16): the chase closure is
   /// maintained as a semi-naïve delta instead of rechased, the epoch bumps,
@@ -169,7 +164,7 @@ class FrontDoor {
  private:
   /// Everything derived from one policy epoch, immutable once published;
   /// requests snapshot one shared_ptr and stay internally consistent even
-  /// across a concurrent SetPolicy.
+  /// across a concurrent edit.
   struct EpochState {
     std::uint64_t epoch = 0;
     authz::AuthorizationSet policy;  ///< closure_->closed(), or raw_ if capped
@@ -215,7 +210,7 @@ class FrontDoor {
 
   mutable std::mutex mu_;  ///< guards closure_, raw_, state_, counters
   /// The maintained chase closure; it owns the base rules. Null until an
-  /// epoch or an edit first needs it, after SetPolicy, and while capped.
+  /// epoch or an edit first needs it, and while capped.
   std::unique_ptr<authz::IncrementalClosure> closure_;
   /// The base rules while closure_ is null; empty otherwise.
   authz::AuthorizationSet raw_;

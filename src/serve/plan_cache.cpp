@@ -41,6 +41,10 @@ void PlanCache::Insert(const std::string& key, CachedPlanEntry entry) {
   const std::lock_guard<std::mutex> lock(mu_);
   const auto it = map_.find(key);
   if (it != map_.end()) {
+    // A request planned under an older epoch can finish after another one
+    // stored the same key under a newer epoch; the newer entry wins, or the
+    // next lookup would evict it as stale and plan again.
+    if (it->second.entry.epoch > entry.epoch) return;
     it->second.entry = std::move(entry);
     Touch(it->second, key);
     return;

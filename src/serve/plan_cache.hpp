@@ -25,7 +25,7 @@
 // (DESIGN.md §16) — while evicting the rest as stale. Entries with older
 // stamps were inserted by requests racing an earlier edit and may be
 // invalid under a delta this bump never saw, so they always die.
-// InvalidateBefore remains the full sweep for non-incremental edits.
+// InvalidateBefore remains the full sweep for edits whose delta is full.
 //
 // Bounded LRU: at `capacity` entries the least-recently-used entry is
 // evicted. Thread-safe behind one mutex; the payloads are shared-const so
@@ -69,7 +69,9 @@ class PlanCache {
   std::optional<CachedPlanEntry> Lookup(const std::string& key,
                                         std::uint64_t epoch);
 
-  /// Inserts (or replaces) the entry for `key`. Evicts LRU at capacity.
+  /// Inserts the entry for `key`, replacing a same-key entry unless that
+  /// one was planned under a newer epoch (then it is kept and `entry`
+  /// dropped). Evicts LRU at capacity.
   void Insert(const std::string& key, CachedPlanEntry entry);
 
   /// Drops every entry stamped with an epoch below `epoch`. Returns the

@@ -75,7 +75,7 @@ std::int64_t Timed(std::int64_t& acc, const std::function<void()>& fn) {
 }
 
 /// Denied audit entries recorded at the runtime-enforcement sites. Denials
-/// at the planner/verifier/failover sites are normal (rejected candidates);
+/// at the planner/verifier sites are normal (rejected candidates);
 /// a denial at the executor or requestor site is a blocked shipment.
 std::size_t DeniedEnforcementEntries() {
   std::size_t denied = 0;
@@ -150,7 +150,6 @@ std::string_view MismatchKindName(MismatchKind kind) noexcept {
     case MismatchKind::kThreadDivergence: return "thread-divergence";
     case MismatchKind::kResultMultiset: return "result-multiset";
     case MismatchKind::kAuditViolation: return "audit-violation";
-    case MismatchKind::kFaultSafety: return "fault-safety";
     case MismatchKind::kProfileDivergence: return "profile-divergence";
     case MismatchKind::kServingDivergence: return "serving-divergence";
     case MismatchKind::kPolicyEditDivergence: return "policy-edit-divergence";
@@ -184,7 +183,6 @@ Result<CheckReport> CheckScenario(const Scenario& s,
   // --- chase arm -----------------------------------------------------------
   authz::ChaseOptions chase_options;
   chase_options.max_path_atoms = options.chase_max_path_atoms;
-  chase_options.threads = 1;
   Result<authz::AuthorizationSet> chased = InternalError("unset");
   Timed(report.production_us,
         [&] { chased = authz::ChaseClosure(cat, s.auths, chase_options); });
@@ -205,19 +203,6 @@ Result<CheckReport> CheckScenario(const Scenario& s,
       oss << "production closure has " << got.size()
           << " canonical rules, naive fixpoint has " << want.size();
       fail(MismatchKind::kChaseClosure, oss.str());
-    }
-    if (options.threads > 1) {
-      chase_options.threads = options.threads;
-      Result<authz::AuthorizationSet> parallel = InternalError("unset");
-      Timed(report.production_us, [&] {
-        parallel = authz::ChaseClosure(cat, s.auths, chase_options);
-      });
-      if (!parallel.ok() ||
-          CanonicalPolicy(cat, *parallel) != got) {
-        fail(MismatchKind::kThreadDivergence,
-             "chase closure differs between threads=1 and threads=" +
-                 std::to_string(options.threads));
-      }
     }
   }
 
@@ -411,11 +396,12 @@ Result<CheckReport> CheckScenario(const Scenario& s,
   // Replays a deterministic grant/revoke script through one long-lived
   // FrontDoor (incremental delta-chase, selective cache retention) and,
   // after every edit, diffs it against throwaway from-scratch state built on
-  // the edited rule set: the canonical closure, the per-profile CanView
-  // verdicts (deny reasons byte-for-byte), and the served answer — success
-  // tables, typed kInfeasible messages, and runtime-enforcement audit
-  // entries alike. The long-lived door is served twice per edit so retained
-  // cache entries answer, not just cold plans.
+  // the edited rule set: the canonical closure (against a fresh Build and
+  // against the naïve fixpoint, which shares no chase code), the per-profile
+  // CanView verdicts (deny reasons byte-for-byte), and the served answer —
+  // success tables, typed kInfeasible messages, and runtime-enforcement
+  // audit entries alike. The long-lived door is served twice per edit so
+  // retained cache entries answer, not just cold plans.
   if (options.check_policy_edits && options.policy_edit_count > 0 &&
       s.auths.size() > 0) {
     serve::ServeOptions serve_options;
@@ -426,8 +412,9 @@ Result<CheckReport> CheckScenario(const Scenario& s,
     authz::AuthorizationSet oracle_base = s.auths;
 
     // Closure-level differential: a separately maintained incremental
-    // closure vs a from-scratch rechase. Capped scenarios abstain (the door
-    // degrades to serving the raw rules in that regime anyway).
+    // closure vs a from-scratch build and the naïve fixpoint. Capped
+    // scenarios abstain (the door degrades to serving the raw rules in that
+    // regime anyway).
     std::optional<authz::IncrementalClosure> inc;
     {
       Result<authz::IncrementalClosure> built =
@@ -519,25 +506,35 @@ Result<CheckReport> CheckScenario(const Scenario& s,
         }
       }
       if (inc.has_value()) {
-        Result<authz::AuthorizationSet> rechased = InternalError("unset");
+        Result<authz::IncrementalClosure> rebuilt = InternalError("unset");
         Timed(report.oracle_us, [&] {
-          rechased =
-              authz::ChaseClosure(cat, oracle_base, serve_options.chase);
+          rebuilt = authz::IncrementalClosure::Build(cat, oracle_base,
+                                                     serve_options.chase);
         });
-        if (rechased.ok()) {
-          if (CanonicalPolicy(cat, inc->closed()) !=
-              CanonicalPolicy(cat, *rechased)) {
+        if (rebuilt.ok()) {
+          const std::multiset<std::string> maintained =
+              CanonicalPolicy(cat, inc->closed());
+          if (maintained != CanonicalPolicy(cat, rebuilt->closed())) {
+            fail(MismatchKind::kPolicyEditDivergence,
+                 edit_label +
+                     ": incrementally maintained closure differs from a "
+                     "fresh build");
+          }
+          authz::AuthorizationSet naive;
+          Timed(report.oracle_us, [&] {
+            naive = NaiveChaseOracle(cat, oracle_base,
+                                     options.chase_max_path_atoms);
+          });
+          if (maintained != CanonicalPolicy(cat, naive)) {
             fail(MismatchKind::kPolicyEditDivergence,
                  edit_label +
                      ": incrementally maintained closure differs from the "
-                     "full rechase");
+                     "naive fixpoint");
           }
           // Deny reasons byte-for-byte: probe every candidate rule's shape
-          // against every server under both closures. Canonicalizing the
-          // rechase pins ExplainCanView's first-wins tie-break to the same
-          // order the incremental closure maintains.
-          authz::AuthorizationSet canonical = std::move(*rechased);
-          canonical.Canonicalize();
+          // against every server under both closures. Both are canonical,
+          // so ExplainCanView's first-wins tie-break sees the same order.
+          const authz::AuthorizationSet& canonical = rebuilt->closed();
           for (const authz::Authorization& probe : pool) {
             authz::Profile p;
             p.pi = probe.attributes;
@@ -558,11 +555,11 @@ Result<CheckReport> CheckScenario(const Scenario& s,
               }
             }
           }
-        } else if (rechased.status().code() ==
+        } else if (rebuilt.status().code() ==
                    StatusCode::kResourceExhausted) {
           inc.reset();  // oracle capped where the incremental path was not
         } else {
-          return rechased.status();
+          return rebuilt.status();
         }
       }
 
@@ -690,43 +687,9 @@ Result<CheckReport> CheckScenario(const Scenario& s,
              executed.status().ToString());
   } else {
     fail(MismatchKind::kPipelineError,
-         "fault-free execution failed: " + executed.status().ToString());
+         "execution failed: " + executed.status().ToString());
   }
 
-  // --- fault arm -----------------------------------------------------------
-  for (const std::uint64_t fault_seed : options.fault_seeds) {
-    exec::FaultModelOptions fault_options;
-    fault_options.seed = fault_seed;
-    fault_options.drop_probability = options.fault_drop_probability;
-    exec::FaultModel faults(fault_options);
-    exec::ExecutionOptions exec_options;
-    exec_options.faults = &faults;
-    audit.Enable();
-    Result<exec::ExecutionResult> faulted = InternalError("unset");
-    Timed(report.production_us, [&] {
-      faulted = executor.Execute(chosen->plan, chosen->safe_plan.assignment,
-                                 exec_options);
-    });
-    if (faulted.ok()) {
-      if (!storage::Table::SameRowMultiset(faulted->table, *reference)) {
-        fail(MismatchKind::kFaultSafety,
-             "fault seed " + std::to_string(fault_seed) +
-                 ": recovered execution returned a different row multiset");
-      }
-      const std::size_t denied = DeniedEnforcementEntries();
-      if (denied != 0) {
-        fail(MismatchKind::kFaultSafety,
-             "fault seed " + std::to_string(fault_seed) + ": " +
-                 std::to_string(denied) +
-                 " denied enforcement entries on a successful recovery");
-      }
-    } else if (faulted.status().code() != StatusCode::kUnavailable) {
-      fail(MismatchKind::kFaultSafety,
-           "fault seed " + std::to_string(fault_seed) +
-               ": expected success or kUnavailable, got " +
-               faulted.status().ToString());
-    }
-  }
   audit.Disable();
   return report;
 }

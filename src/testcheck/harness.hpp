@@ -3,11 +3,11 @@
 //
 // One CheckScenario call runs the full production path — chase closure,
 // feasibility-aware plan search, distributed execution with runtime
-// enforcement and audit — sequentially and in parallel, with and without
-// fault schedules, and asserts against the independent oracles:
+// enforcement and audit — sequentially and in parallel, and asserts against
+// the independent oracles:
 //
-//   chase      the semi-naïve parallel closure equals the naïve fixpoint
-//              (canonical minimized form), at every thread count;
+//   chase      the semi-naïve closure the front door builds equals the
+//              naïve fixpoint (canonical minimized form);
 //   plan       SafePlanner-driven search and the exhaustive enumerator agree
 //              on feasibility, pre- and post-chase, and the exhaustive
 //              minimum cost never exceeds the chosen plan's cost (the greedy
@@ -22,9 +22,6 @@
 //   results    the distributed result multiset equals the single-site
 //              reference evaluation, and re-executing with a morsel-parallel
 //              worker pool returns the byte-identical table;
-//   faults     under every configured fault seed, execution either returns
-//              the identical multiset or a typed kUnavailable — never
-//              kUnauthorized, never wrong rows;
 //   profile    re-executing with a QueryProfile attached returns the
 //              byte-identical table (profiling is observation only), and the
 //              recorded per-operator cardinalities conserve: every child's
@@ -32,8 +29,9 @@
 //   edits      a deterministic grant/revoke script replayed through
 //              FrontDoor::AddRule/RevokeRule (incremental delta-chase,
 //              selective cache retention) matches a full-recompute oracle
-//              after every edit: identical canonical closures, identical
-//              CanView deny reasons, and byte-identical served answers —
+//              after every edit: a canonical closure identical to a fresh
+//              build's and to the naïve fixpoint's, identical CanView deny
+//              reasons, and byte-identical served answers —
 //              success tables, kInfeasible negative-cache verdicts, and
 //              runtime-enforcement audit entries alike.
 //
@@ -61,7 +59,6 @@ enum class MismatchKind : std::uint8_t {
   kThreadDivergence, ///< threads=1 and threads=N results differ
   kResultMultiset,   ///< distributed result != reference evaluation
   kAuditViolation,   ///< denied executor/requestor entry on a success
-  kFaultSafety,      ///< faulted run returned wrong rows or kUnauthorized
   kProfileDivergence,///< profiling changed the result, or rows don't conserve
   kServingDivergence,///< cached serving answer differs from the cold answer
   kPolicyEditDivergence, ///< incremental policy edit differs from recompute
@@ -84,15 +81,11 @@ struct CheckOptions {
   std::size_t chase_max_path_atoms = 3;
   /// Join orders examined by both the production search and the oracle.
   std::size_t max_orders = 24;
-  /// The parallel arms: every parallelizable stage (chase, plan search,
+  /// The parallel arms: every parallelizable stage (plan search,
   /// morsel-driven execution) additionally runs with this thread count and
   /// must reproduce the sequential result exactly — execution byte-for-byte.
   std::size_t threads = 2;
-  /// Fault schedules for the fault arm (empty disables it). Each seed runs
-  /// one execution with this per-link drop probability.
-  std::vector<std::uint64_t> fault_seeds;
-  double fault_drop_probability = 0.3;
-  /// Run the execution arms (distributed vs reference, audit, faults).
+  /// Run the execution arms (distributed vs reference, audit).
   bool check_execution = true;
   /// Run the serving arm: the scenario query goes through a FrontDoor twice
   /// — cold, then plan-cache-hit — and the answers must match exactly:
@@ -106,7 +99,8 @@ struct CheckOptions {
   /// selective plan-cache/CanView retention) and, after every edit, the
   /// closure, the CanView deny reasons, and the served answers (twice — so
   /// retained cache hits are exercised) must be byte-identical to a
-  /// from-scratch FrontDoor over the edited rule set. Requires
+  /// from-scratch FrontDoor over the edited rule set, and the maintained
+  /// closure must equal both a fresh build and the naïve fixpoint. Requires
   /// check_execution (the arm serves against the loaded cluster).
   bool check_policy_edits = true;
   std::size_t policy_edit_count = 4;

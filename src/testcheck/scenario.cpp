@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <set>
 #include <sstream>
+#include <system_error>
 
 #include "dsl/federation_dsl.hpp"
 #include "sql/binder.hpp"
@@ -37,6 +38,20 @@ void RenderValue(std::ostringstream& oss, const storage::Value& v) {
   }
 }
 
+/// `token` as a T-typed cell. The whole token must parse and fit T: a
+/// corrupted corpus file is a typed error, never a different scenario.
+template <typename T>
+Result<storage::Value> NumericCell(const std::string& token) {
+  T v{};
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, v);
+  if (ec != std::errc() || ptr != end) {
+    return InvalidArgumentError("malformed numeric literal '" + token +
+                                "' in row");
+  }
+  return storage::Value(v);
+}
+
 /// Parses one repro-file literal from `text` at `pos` (after skipping
 /// spaces); advances `pos` past it.
 Result<storage::Value> ParseValue(std::string_view text, std::size_t& pos) {
@@ -64,10 +79,9 @@ Result<storage::Value> ParseValue(std::string_view text, std::size_t& pos) {
   if (token == "null") return storage::Value::Null();
   if (token.empty()) return InvalidArgumentError("empty row literal");
   if (token.find_first_of(".eE") != std::string::npos) {
-    return storage::Value(std::strtod(token.c_str(), nullptr));
+    return NumericCell<double>(token);
   }
-  return storage::Value(
-      static_cast<std::int64_t>(std::strtoll(token.c_str(), nullptr, 10)));
+  return NumericCell<std::int64_t>(token);
 }
 
 bool StartsWithWord(std::string_view line, std::string_view word) {
@@ -161,8 +175,13 @@ Result<Scenario> ParseReproText(std::string_view text) {
     const std::string_view line = Trimmed(raw_line);
     if (line.empty()) continue;
     if (StartsWithWord(line, "seed")) {
-      seed = std::strtoull(std::string(Trimmed(line.substr(4))).c_str(),
-                           nullptr, 10);
+      const std::string_view token = Trimmed(line.substr(4));
+      const char* end = token.data() + token.size();
+      const auto [ptr, ec] = std::from_chars(token.data(), end, seed);
+      if (ec != std::errc() || ptr != end) {
+        return InvalidArgumentError("malformed seed '" + std::string(token) +
+                                    "'");
+      }
     } else if (StartsWithWord(line, "query")) {
       sql = std::string(Trimmed(line.substr(5)));
     } else if (StartsWithWord(line, "row")) {

@@ -54,8 +54,17 @@ TEST_F(AnalysisTest, DiffFindsChaseDerivedRules) {
   ASSERT_OK_AND_ASSIGN(AuthorizationSet closed,
                        ChaseClosure(fix_.cat, fix_.auths));
   const PolicyDiff diff = DiffPolicies(fix_.auths, closed);
-  EXPECT_TRUE(diff.only_in_a.empty());  // closure only adds
-  EXPECT_EQ(diff.only_in_b.size(), closed.size() - fix_.auths.size());
+  // The closure is canonical: it drops an input rule that a derived grant
+  // on the same path subsumes — in Fig. 3, S_I's rule over
+  // {(Holder, Patient), (Disease, Illness)} — but never a view it grants.
+  ASSERT_EQ(diff.only_in_a.size(), 1u);
+  for (const Authorization& rule : diff.only_in_a) {
+    EXPECT_TRUE(closed.CanView(Profile{rule.attributes, rule.path, {}},
+                               rule.server))
+        << rule.ToString(fix_.cat);
+  }
+  EXPECT_EQ(fix_.auths.size() - diff.only_in_a.size() + diff.only_in_b.size(),
+            closed.size());
   for (const Authorization& rule : diff.only_in_b) {
     EXPECT_FALSE(rule.path.empty()) << rule.ToString(fix_.cat);
   }

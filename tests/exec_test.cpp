@@ -396,6 +396,25 @@ TEST_F(ExecTest, SemiJoinSlaveEqualToMasterIsRejectedNotFatal) {
       << result.status().ToString();
 }
 
+TEST_F(ExecTest, OutOfRangeRequestorIsRejectedNotFatal) {
+  // A requestor naming no server used to abort the process: the delivery
+  // check formats the receiving server's name. With enforcement off the
+  // delivery would have been recorded to a server that does not exist.
+  // Both come back as a typed kInvalidArgument before anything runs.
+  DistributedExecutor executor(*cluster_, fix_.auths);
+  for (const bool enforce : {true, false}) {
+    ExecutionOptions options;
+    options.enforce_releases = enforce;
+    options.requestor = catalog::ServerId{99};
+    const auto result = executor.Execute(plan_, assignment_, options);
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << "enforce=" << enforce << ": " << result.status().ToString();
+    EXPECT_NE(result.status().message().find("requestor server id 99"),
+              std::string::npos)
+        << result.status().ToString();
+  }
+}
+
 TEST_F(ExecTest, NetworkOutIsNotDuplicatedOnSuccess) {
   // On success the transfer log lives solely in ExecutionResult::network;
   // the failure-path sink must come back empty, not as a second copy.

@@ -176,6 +176,63 @@ TEST_F(ObsTest, BeginSpanWithParentNestsAcrossThreads) {
   EXPECT_NE(json.find("root/worker"), std::string::npos);
 }
 
+TEST_F(ObsTest, ConcurrentSpansAndMetricsFromManyThreads) {
+  // Spans, counters and histograms emitted from several threads at once,
+  // with both recorders enabled: the TSan target for the obs layer. The
+  // totals must be exact, every span must nest under its own thread's
+  // parent, and the export must still validate.
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kOps = 200;
+  Tracer::Get().Enable();
+  MetricsRegistry& reg = MetricsRegistry::Get();
+  reg.Enable();
+  {
+    Span root("root");
+    std::vector<std::thread> workers;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&root, t] {
+        Span worker("worker", root);
+        worker.AddAttribute("thread", t);
+        for (std::size_t i = 0; i < kOps; ++i) {
+          CISQP_TRACE_SPAN(op, "worker.op");
+          op.AddAttribute("i", i);
+          CISQP_METRIC_INC("test.concurrent.ops");
+          CISQP_METRIC_ADD("test.concurrent.units", 3);
+          CISQP_METRIC_OBSERVE("test.concurrent.value", static_cast<double>(i));
+        }
+      });
+    }
+    for (std::thread& worker : workers) worker.join();
+  }
+  Tracer::Get().Disable();
+  reg.Disable();
+
+  EXPECT_EQ(reg.Counter("test.concurrent.ops"), kThreads * kOps);
+  EXPECT_EQ(reg.Counter("test.concurrent.units"), 3 * kThreads * kOps);
+  const HistogramData h = reg.Histogram("test.concurrent.value");
+  EXPECT_EQ(h.count, kThreads * kOps);
+  EXPECT_DOUBLE_EQ(h.sum, kThreads * (kOps * (kOps - 1) / 2.0));
+  EXPECT_DOUBLE_EQ(h.min, 0.0);
+  EXPECT_DOUBLE_EQ(h.max, static_cast<double>(kOps - 1));
+
+  const auto& spans = Tracer::Get().spans();
+  ASSERT_EQ(spans.size(), 1 + kThreads * (1 + kOps));
+  std::size_t ops = 0;
+  for (const SpanRecord& s : spans) {
+    if (s.name != "worker.op") continue;
+    ++ops;
+    ASSERT_GE(s.parent, 0);
+    const SpanRecord& parent = spans[static_cast<std::size_t>(s.parent)];
+    EXPECT_EQ(parent.name, "worker");
+    EXPECT_EQ(parent.tid, s.tid);
+  }
+  EXPECT_EQ(ops, kThreads * kOps);
+  std::string error;
+  EXPECT_TRUE(
+      ValidateChromeTraceJson(Tracer::Get().ChromeTraceJson(), &error))
+      << error;
+}
+
 TEST_F(ObsTest, ValidateChromeTraceJsonRejectsGarbage) {
   std::string error;
   EXPECT_FALSE(ValidateChromeTraceJson("", &error));

@@ -203,6 +203,52 @@ TEST_F(SafePlannerTest, ThirdPartyRescuesOtherwiseInfeasibleJoin) {
   EXPECT_OK(VerifyAssignment(cat, auths, plan, sp.assignment));
 }
 
+TEST_F(SafePlannerTest, ThirdPartyTieGoesToTheFirstProxy) {
+  // Neither data owner may see the other side, and two proxies may view
+  // everything. Both are equally good candidates (join count 1); the
+  // stable candidate order keeps the first in server order.
+  catalog::Catalog cat;
+  const auto a = cat.AddServer("A").value();
+  const auto b = cat.AddServer("B").value();
+  const auto c = cat.AddServer("C").value();
+  ASSERT_OK(cat.AddServer("D").status());
+  ASSERT_OK(cat.AddRelation("R", a,
+                            {{"RK", catalog::ValueType::kInt64},
+                             {"RV", catalog::ValueType::kInt64}},
+                            {"RK"})
+                .status());
+  ASSERT_OK(cat.AddRelation("S", b,
+                            {{"SK", catalog::ValueType::kInt64},
+                             {"SW", catalog::ValueType::kInt64}},
+                            {"SK"})
+                .status());
+  ASSERT_OK(cat.AddJoinEdge("RK", "SK"));
+  authz::AuthorizationSet auths;
+  // A regular-join proxy receives each base operand (an empty-path
+  // profile), so each proxy holds the per-relation rules besides the
+  // joined view.
+  for (const char* proxy : {"C", "D"}) {
+    ASSERT_OK(auths.Add(cat, proxy, {"RK", "RV"}, {}));
+    ASSERT_OK(auths.Add(cat, proxy, {"SK", "SW"}, {}));
+    ASSERT_OK(auths.Add(cat, proxy, {"RK", "RV", "SK", "SW"}, {{"RK", "SK"}}));
+  }
+  auto spec = sql::ParseAndBind(cat, "SELECT RV, SW FROM R JOIN S ON RK = SK");
+  ASSERT_OK(spec.status());
+  ASSERT_OK_AND_ASSIGN(plan::QueryPlan plan,
+                       plan::PlanBuilder(cat).Build(*spec));
+  SafePlannerOptions options;
+  options.allow_third_party = true;
+  ASSERT_OK_AND_ASSIGN(SafePlan sp,
+                       SafePlanner(cat, auths, options).Plan(plan));
+  int join_id = -1;
+  plan.ForEachPreOrder([&](const plan::PlanNode& n) {
+    if (n.op == plan::PlanOp::kJoin) join_id = n.id;
+  });
+  ASSERT_GE(join_id, 0);
+  EXPECT_EQ(sp.assignment.Of(join_id).master, c);
+  EXPECT_EQ(sp.assignment.Of(join_id).origin, FromChild::kThird);
+}
+
 TEST_F(SafePlannerTest, RequestorCheckBlocksUnauthorizedRecipient) {
   const plan::QueryPlan plan = fix_.PaperPlan();
   // S_D has no authorization over the result profile.

@@ -13,6 +13,7 @@
 
 #include "authz/canview_cache.hpp"
 #include "exec/executor.hpp"
+#include "obs/audit.hpp"
 #include "obs/metrics.hpp"
 #include "planner/safe_planner.hpp"
 #include "serve/admission.hpp"
@@ -52,31 +53,6 @@ class ServingTest : public ::testing::Test {
 
   FrontDoor MakeDoor(ServeOptions options = {}) const {
     return FrontDoor(fix_.cat, fix_.auths, *cluster_, &stats_, options);
-  }
-
-  /// The medical policy minus every rule that mentions a Hospital
-  /// attribute (in its attribute set or its join path) — revokes all views
-  /// over Hospital, making the paper's 3-way join infeasible while leaving
-  /// Insurance-only queries untouched.
-  authz::AuthorizationSet RevokeHospital() const {
-    const IdSet hospital =
-        fix_.cat.relation(testing::Relation(fix_.cat, "Hospital"))
-            .attribute_set;
-    const auto mentions_hospital = [&](const authz::Authorization& rule) {
-      for (IdSet::value_type a : rule.attributes) {
-        if (hospital.Contains(a)) return true;
-      }
-      for (IdSet::value_type a : rule.path.Attributes()) {
-        if (hospital.Contains(a)) return true;
-      }
-      return false;
-    };
-    authz::AuthorizationSet reduced;
-    for (const authz::Authorization& rule : fix_.auths.All()) {
-      if (mentions_hospital(rule)) continue;
-      EXPECT_OK(reduced.Add(fix_.cat, rule));
-    }
-    return reduced;
   }
 
   MedicalFixture fix_;
@@ -122,6 +98,41 @@ TEST_F(ServingTest, OutOfRangeLiteralIsATypedErrorAndTheDoorServesOn) {
   EXPECT_EQ(next.table.row_count(),
             cluster_->ColumnarOf(testing::Relation(fix_.cat, "Insurance"))
                 ->row_count());
+}
+
+TEST_F(ServingTest, OutOfRangeRequestorIsATypedErrorInBothAuditStates) {
+  // A requestor naming no server is malformed input. It used to plan to a
+  // cached kInfeasible with the audit log off, and to abort with it on (the
+  // audit entry formats the server's name). It is now kInvalidArgument
+  // before admission and planning, and never cached.
+  Request bad = Req(paper_sql_);
+  bad.requestor = catalog::ServerId{99};
+  obs::AuthzAuditLog& audit = obs::AuthzAuditLog::Get();
+  for (const bool audited : {false, true}) {
+    SCOPED_TRACE(audited ? "audit log on" : "audit log off");
+    FrontDoor door = MakeDoor();
+    if (audited) audit.Enable();
+    const Result<Response> first = door.Serve(bad);
+    const Result<Response> again = door.Serve(bad);
+    audit.Disable();
+    audit.Clear();
+    for (const Result<Response>* served : {&first, &again}) {
+      EXPECT_EQ(served->status().code(), StatusCode::kInvalidArgument)
+          << served->status().ToString();
+      EXPECT_NE(served->status().message().find("requestor server id 99"),
+                std::string::npos)
+          << served->status().ToString();
+    }
+    const FrontDoorStats stats = door.Stats();
+    EXPECT_EQ(stats.admitted, 0u);
+    EXPECT_EQ(stats.plan_cache_misses, 0u);
+    EXPECT_EQ(stats.plan_cache_size, 0u);
+
+    // The door answers its next request.
+    ASSERT_OK_AND_ASSIGN(const Response next, door.Serve(Req(paper_sql_)));
+    EXPECT_FALSE(next.plan_cache_hit);
+    EXPECT_GT(next.table.row_count(), 0u);
+  }
 }
 
 TEST_F(ServingTest, SpellingVariantsShareOnePlanCacheEntry) {
@@ -226,7 +237,21 @@ TEST_F(ServingTest, PolicyEpochBumpInvalidatesExactlyTheCachedEntries) {
   const std::uint64_t stale_before =
       obs::MetricsRegistry::Get().Counter("serve.plan_cache.stale_evictions");
 
+  // Narrow S_H to its one three-way view (Fig. 3 rule 7) before serving:
+  // the paper join stays feasible through it, and revoking it later
+  // empties S_H's rule set.
   FrontDoor door = MakeDoor();
+  authz::Authorization three_way;
+  for (const authz::Authorization& rule :
+       fix_.auths.ForServer(testing::Server(fix_.cat, "S_H"))) {
+    if (rule.path.size() == 2) {
+      three_way = rule;
+    } else {
+      ASSERT_OK(door.RevokeRule(rule).status());
+    }
+  }
+  ASSERT_EQ(door.policy_epoch(), 3u);
+
   ASSERT_OK_AND_ASSIGN(const Response paper_cold,
                        door.Serve(Req(paper_sql_)));
   ASSERT_OK_AND_ASSIGN(const Response ins_cold,
@@ -234,15 +259,20 @@ TEST_F(ServingTest, PolicyEpochBumpInvalidatesExactlyTheCachedEntries) {
   ASSERT_OK_AND_ASSIGN(const Response paper_warm,
                        door.Serve(Req(paper_sql_)));
   EXPECT_TRUE(paper_warm.plan_cache_hit);
-  EXPECT_EQ(door.policy_epoch(), 0u);
-  EXPECT_EQ(paper_cold.policy_epoch, 0u);
+  EXPECT_EQ(paper_cold.policy_epoch, 3u);
+  EXPECT_EQ(
+      obs::MetricsRegistry::Get().Counter("serve.plan_cache.stale_evictions"),
+      stale_before);
 
-  // Revoke every view over Hospital: the epoch bumps, and BOTH cached
-  // entries (the now-infeasible paper join AND the untouched Insurance
-  // lookup) must be invalidated — entries are stamped per epoch, so a
-  // stale hit is structurally impossible.
-  door.SetPolicy(RevokeHospital());
-  EXPECT_EQ(door.policy_epoch(), 1u);
+  // Revoke S_H's last rule. Its rule set empties, which flips the deny
+  // reason of every profile probed at S_H, so the delta is full: the epoch
+  // bumps, and BOTH cached entries (the now-infeasible paper join AND the
+  // untouched Insurance lookup) must be invalidated — entries are stamped
+  // per epoch, so a stale hit is structurally impossible.
+  ASSERT_OK_AND_ASSIGN(const authz::ClosureDelta revoked,
+                       door.RevokeRule(three_way));
+  EXPECT_TRUE(revoked.full);
+  EXPECT_EQ(door.policy_epoch(), 4u);
   EXPECT_EQ(door.Stats().plan_cache_size, 0u);
   EXPECT_EQ(
       obs::MetricsRegistry::Get().Counter("serve.plan_cache.stale_evictions"),
@@ -255,12 +285,12 @@ TEST_F(ServingTest, PolicyEpochBumpInvalidatesExactlyTheCachedEntries) {
   ASSERT_FALSE(paper_after.ok());
   EXPECT_EQ(paper_after.status().code(), StatusCode::kInfeasible);
 
-  // The Insurance lookup replans under epoch 1 (a miss, not a hit) and
+  // The Insurance lookup replans under epoch 4 (a miss, not a hit) and
   // still returns the identical bytes.
   ASSERT_OK_AND_ASSIGN(const Response ins_after,
                        door.Serve(Req(insurance_sql_)));
   EXPECT_FALSE(ins_after.plan_cache_hit);
-  EXPECT_EQ(ins_after.policy_epoch, 1u);
+  EXPECT_EQ(ins_after.policy_epoch, 4u);
   EXPECT_TRUE(TablesIdentical(ins_cold.table, ins_after.table));
 
   // Entries inserted after the bump are unaffected by it: the re-served
@@ -479,6 +509,36 @@ TEST_F(ServingTest, AdvanceEpochNeverRevivesEntriesAcrossAnInterveningEdit) {
   EXPECT_FALSE(cache.Lookup("late", 2).has_value())
       << "an entry that straddled the epoch-1 edit must not be revived";
   EXPECT_TRUE(cache.Lookup("fresh", 2).has_value());
+}
+
+TEST_F(ServingTest, PlanCacheInsertNeverReplacesANewerEntry) {
+  // A request planned under epoch 1 can finish after another request
+  // stored the same key under epoch 2. Overwriting the newer entry made
+  // the next epoch-2 lookup evict the older one as stale and plan again.
+  PlanCache cache(4);
+  CachedPlanEntry newer;
+  newer.epoch = 2;
+  newer.verdict = InfeasibleError("planned under epoch 2");
+  CachedPlanEntry older;
+  older.epoch = 1;
+  older.verdict = InfeasibleError("planned under epoch 1");
+  cache.Insert("k", newer);
+  cache.Insert("k", older);
+  const std::optional<CachedPlanEntry> kept = cache.Lookup("k", 2);
+  ASSERT_TRUE(kept.has_value());
+  EXPECT_EQ(kept->verdict.message(), "planned under epoch 2");
+  EXPECT_EQ(cache.stale_evictions(), 0u);
+  EXPECT_EQ(cache.hits(), 1u);
+
+  // A same-epoch or newer entry still replaces.
+  CachedPlanEntry newest;
+  newest.epoch = 3;
+  newest.verdict = InfeasibleError("planned under epoch 3");
+  cache.Insert("k", newest);
+  const std::optional<CachedPlanEntry> replaced = cache.Lookup("k", 3);
+  ASSERT_TRUE(replaced.has_value());
+  EXPECT_EQ(replaced->verdict.message(), "planned under epoch 3");
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST_F(ServingTest, PlanCacheCapacityZeroIsClampedToOne) {
