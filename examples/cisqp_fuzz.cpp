@@ -15,25 +15,33 @@
 //
 // Flags:
 //   --seeds=N          seeds to try (default 100)
-//   --seed-start=K     first seed (default 1)
-//   --time-budget=SEC  stop the campaign after SEC seconds (0 = no budget;
-//                      a trailing 's' is accepted: --time-budget=60s)
-//   --threads=N        parallel-arm thread count (default 2)
+//   --seed-start=K     first seed (default 1); K + N must fit in uint64
+//   --time-budget=SEC  stop the campaign after SEC seconds, a finite
+//                      number >= 0 (0 = no budget; a trailing 's' is
+//                      accepted: --time-budget=60s)
+//   --threads=N        parallel-arm thread count, 1 to 256 (default 2)
 //   --no-exec          skip the execution arms (planning-only campaign)
 //   --out-dir=DIR      where minimized repro files go (default .)
 //   --replay FILE      check one repro file instead of a campaign
 //   --minimize         with --replay: shrink a failing repro, write FILE.min
 //
+// N, K and the thread count are unsigned decimal integers; a malformed or
+// out-of-range value is a usage error (exit 2) naming its flag.
+//
 // When $CISQP_BENCH_OUT_DIR is set, a BENCH_fuzz_throughput.json artifact
 // (scenarios/sec, oracle-vs-production wall-time ratio) is written there,
 // matching the bench harness's artifact shape.
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "obs/trace.hpp"
 #include "testcheck/harness.hpp"
@@ -55,12 +63,33 @@ struct Flags {
   bool minimize = false;
 };
 
+constexpr std::uint64_t kMaxThreads = 256;
+
+/// Reads all of `text` as an unsigned decimal integer: digits only, no sign,
+/// no overflow.
 bool ParseUint(std::string_view text, std::uint64_t& out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const std::string owned(text);
-  out = std::strtoull(owned.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+/// Reads all of `text` as a finite number of seconds >= 0, with an optional
+/// trailing 's'.
+bool ParseSeconds(std::string_view text, double& out) {
+  if (!text.empty() && (text.back() == 's' || text.back() == 'S')) {
+    text.remove_suffix(1);
+  }
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end && std::isfinite(out) && out >= 0;
+}
+
+bool BadValue(std::string_view flag, std::string_view value,
+              const char* expected) {
+  std::fprintf(stderr, "invalid %.*s value '%.*s': expected %s\n",
+               static_cast<int>(flag.size()), flag.data(),
+               static_cast<int>(value.size()), value.data(), expected);
+  return false;
 }
 
 bool ParseFlags(int argc, char** argv, Flags& flags) {
@@ -69,18 +98,27 @@ bool ParseFlags(int argc, char** argv, Flags& flags) {
     const auto value_of = [&](std::string_view prefix) -> std::string_view {
       return arg.substr(prefix.size());
     };
-    std::uint64_t n = 0;
-    if (arg.rfind("--seeds=", 0) == 0 && ParseUint(value_of("--seeds="), n)) {
-      flags.seeds = n;
-    } else if (arg.rfind("--seed-start=", 0) == 0 &&
-               ParseUint(value_of("--seed-start="), n)) {
-      flags.seed_start = n;
+    if (arg.rfind("--seeds=", 0) == 0) {
+      const std::string_view v = value_of("--seeds=");
+      if (!ParseUint(v, flags.seeds)) {
+        return BadValue("--seeds", v, "an unsigned integer");
+      }
+    } else if (arg.rfind("--seed-start=", 0) == 0) {
+      const std::string_view v = value_of("--seed-start=");
+      if (!ParseUint(v, flags.seed_start)) {
+        return BadValue("--seed-start", v, "an unsigned integer");
+      }
     } else if (arg.rfind("--time-budget=", 0) == 0) {
-      std::string v(value_of("--time-budget="));
-      if (!v.empty() && (v.back() == 's' || v.back() == 'S')) v.pop_back();
-      flags.time_budget_sec = std::strtod(v.c_str(), nullptr);
-    } else if (arg.rfind("--threads=", 0) == 0 &&
-               ParseUint(value_of("--threads="), n)) {
+      const std::string_view v = value_of("--time-budget=");
+      if (!ParseSeconds(v, flags.time_budget_sec)) {
+        return BadValue("--time-budget", v, "a finite number of seconds >= 0");
+      }
+    } else if (arg.rfind("--threads=", 0) == 0) {
+      const std::string_view v = value_of("--threads=");
+      std::uint64_t n = 0;
+      if (!ParseUint(v, n) || n < 1 || n > kMaxThreads) {
+        return BadValue("--threads", v, "an integer from 1 to 256");
+      }
       flags.threads = static_cast<std::size_t>(n);
     } else if (arg == "--no-exec") {
       flags.check_execution = false;
@@ -96,6 +134,16 @@ bool ParseFlags(int argc, char** argv, Flags& flags) {
       std::fprintf(stderr, "unknown flag: %s\n", std::string(arg).c_str());
       return false;
     }
+  }
+  // The campaign runs seeds [K, K + N); its end must not wrap.
+  constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+  if (flags.seeds > kMaxU64 - flags.seed_start) {
+    std::fprintf(stderr,
+                 "invalid --seeds value %llu: with --seed-start=%llu the seed "
+                 "range overflows uint64\n",
+                 static_cast<unsigned long long>(flags.seeds),
+                 static_cast<unsigned long long>(flags.seed_start));
+    return false;
   }
   return true;
 }

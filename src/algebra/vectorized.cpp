@@ -445,20 +445,13 @@ std::shared_ptr<const ColumnarTable> ColumnarBatch::Materialize() const {
   return std::make_shared<ColumnarTable>(Header(), std::move(cols));
 }
 
-storage::Table ColumnarBatch::MaterializeRows() const {
-  storage::Table out(Header());
-  const std::size_t n = row_count();
-  out.Reserve(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    const std::uint32_t id = physical_row(r);
-    storage::Row row;
-    row.reserve(col_map_.size());
-    for (std::size_t c = 0; c < col_map_.size(); ++c) {
-      row.push_back(physical(c).ValueAt(id));
-    }
-    out.AppendRowUnchecked(std::move(row));
-  }
-  return out;
+storage::Table ColumnarBatch::ToTable() const& {
+  return ColumnarBatch(*this).ToTable();
+}
+
+storage::Table ColumnarBatch::ToTable() && {
+  return storage::Table(std::move(source_), std::move(col_map_),
+                        std::move(sel_));
 }
 
 Result<ColumnarBatch> SelectBatch(const ColumnarBatch& input,

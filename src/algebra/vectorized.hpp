@@ -5,9 +5,11 @@
 // selection vector (which source rows, in order). The kernels compose views
 // without touching cell data — σ narrows the selection, π remaps the column
 // map — and only joins and explicit Materialize calls gather cells, once,
-// into a fresh ColumnarTable. Row-at-a-time semantics are preserved exactly
-// (output order included); src/testcheck/row_kernels keeps the original
-// row implementations as the differential oracle.
+// into a fresh ColumnarTable. A batch leaves the engine as a row Table over
+// the same view (ToTable), whose rows are built only when first read.
+// Row-at-a-time semantics are preserved exactly (output order included);
+// src/testcheck/row_kernels keeps the original row implementations as the
+// differential oracle.
 #pragma once
 
 #include <cstdint>
@@ -135,8 +137,11 @@ class ColumnarBatch {
   /// shared source without copying; everything else gathers each column once.
   std::shared_ptr<const storage::ColumnarTable> Materialize() const;
 
-  /// The view as a row Table (the external compatibility surface).
-  storage::Table MaterializeRows() const;
+  /// The view as a row Table over the same source, column map and
+  /// selection: O(columns), no gather; rows are built on first read. The
+  /// rvalue overload moves the selection instead of copying it.
+  storage::Table ToTable() const&;
+  storage::Table ToTable() &&;
 
  private:
   friend Result<ColumnarBatch> SelectBatch(const ColumnarBatch&,

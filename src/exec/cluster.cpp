@@ -25,7 +25,7 @@ Status Cluster::InsertRow(catalog::RelationId rel, const storage::Row& row) {
 }
 
 storage::Table Cluster::TableOf(catalog::RelationId rel) const {
-  return ColumnarOf(rel)->MaterializeRows();
+  return storage::Table(ColumnarOf(rel));
 }
 
 std::shared_ptr<const storage::ColumnarTable> Cluster::ColumnarOf(

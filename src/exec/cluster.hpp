@@ -5,9 +5,10 @@
 // server). Inserts validate each row against the relation's schema.
 //
 // Loading precedes execution: InsertRow is not synchronized, and every
-// insert happens before the first execution starts. A table ColumnarOf has
-// handed out is never mutated; an insert into a relation whose table is
-// still held elsewhere copies it first, so a holder keeps the rows it saw.
+// insert happens before the first execution starts. A table ColumnarOf or
+// TableOf has handed out is never mutated; an insert into a relation whose
+// table is still held elsewhere copies it first, so a holder keeps the rows
+// it saw.
 #pragma once
 
 #include <memory>
@@ -30,7 +31,8 @@ class Cluster {
   /// storage::CheckRow.
   Status InsertRow(catalog::RelationId rel, const storage::Row& row);
 
-  /// The instance of `rel`, materialized as rows (oracles, tests, display).
+  /// The instance of `rel` as a row Table viewing the stored table
+  /// (oracles, tests, display): O(columns), rows built on first read.
   storage::Table TableOf(catalog::RelationId rel) const;
 
   /// The stored table of `rel`, shared by every plan that scans it.

@@ -122,7 +122,7 @@ class Run {
     }
 
     ExecutionResult result;
-    result.table = located.batch.MaterializeRows();
+    result.table = std::move(located.batch).ToTable();
     result.result_server = located.server;
     result.network = std::move(network_);
     result.load = std::move(load_);
@@ -533,7 +533,7 @@ Result<storage::Table> ExecuteCentralized(const Cluster& cluster,
   CISQP_RETURN_IF_ERROR(plan.Validate(cluster.catalog()));
   CISQP_ASSIGN_OR_RETURN(algebra::ColumnarBatch out,
                          CentralizedRec(cluster, *plan.root()));
-  return out.MaterializeRows();
+  return std::move(out).ToTable();
 }
 
 }  // namespace cisqp::exec

@@ -69,6 +69,9 @@ struct ServerLoad {
 };
 
 struct ExecutionResult {
+  /// The answer as a view of the final batch: built in O(columns), it keeps
+  /// the batch's columnar source alive and builds its rows once, on first
+  /// read.
   storage::Table table;
   catalog::ServerId result_server = catalog::kInvalidId;
   NetworkStats network;
@@ -97,6 +100,7 @@ class DistributedExecutor {
 /// Reference evaluator: runs `plan` as if all relations were local, with no
 /// authorization or distribution concerns. The distributed execution of a
 /// valid assignment must return the same row multiset (tests rely on this).
+/// Like Execute, it returns a view of its final batch.
 Result<storage::Table> ExecuteCentralized(const Cluster& cluster,
                                           const plan::QueryPlan& plan);
 

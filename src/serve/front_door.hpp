@@ -93,6 +93,8 @@ struct Request {
 };
 
 struct Response {
+  /// The answer, a view of the executor's final batch. Its rows are built
+  /// on first read, once, and are safe to read from many threads.
   storage::Table table;
   catalog::ServerId result_server = catalog::kInvalidId;
   exec::NetworkStats network;

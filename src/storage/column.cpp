@@ -109,12 +109,6 @@ bool ColumnVector::CellsEqual(std::size_t i, const ColumnVector& other,
   return false;
 }
 
-std::size_t ColumnVector::WireSizeAt(std::size_t i) const noexcept {
-  if (IsNull(i)) return 1;
-  if (type_ == catalog::ValueType::kString) return dict_[codes_[i]].size() + 4;
-  return 8;
-}
-
 void ColumnVector::GatherFrom(const ColumnVector& src,
                               const SelectionVector& ids) {
   CISQP_CHECK(src.type_ == type_);
@@ -267,18 +261,6 @@ ColumnarTable ColumnarTable::FromRows(const Table& rows) {
   ColumnarTable out(rows.columns());
   for (ColumnVector& c : out.cols_) c.Reserve(rows.row_count());
   for (const Row& row : rows.rows()) out.AppendRow(row);
-  return out;
-}
-
-Table ColumnarTable::MaterializeRows() const {
-  Table out(header_);
-  out.Reserve(row_count_);
-  for (std::size_t r = 0; r < row_count_; ++r) {
-    Row row;
-    row.reserve(header_.size());
-    for (const ColumnVector& c : cols_) row.push_back(c.ValueAt(r));
-    out.AppendRowUnchecked(std::move(row));
-  }
   return out;
 }
 

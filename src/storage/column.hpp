@@ -13,6 +13,8 @@
 // selection vectors index rows, gather lists materialize operator outputs in
 // one pass, and the wire size of a table is maintained incrementally so the
 // execution engine accounts a shipment in O(columns) instead of O(cells).
+// Rows come back only through a row Table viewing a ColumnarTable
+// (storage/table), which builds them on first read.
 #pragma once
 
 #include <memory>
@@ -27,10 +29,6 @@
 #include "storage/value.hpp"
 
 namespace cisqp::storage {
-
-/// Row ids into a ColumnarTable, in output order. The unit the vectorized
-/// kernels operate on: σ narrows one, ⋈ emits gather lists of them.
-using SelectionVector = std::vector<std::uint32_t>;
 
 /// One typed column: value vector + null bitmap (+ dictionary for strings).
 class ColumnVector {
@@ -70,9 +68,6 @@ class ColumnVector {
   bool CellsEqual(std::size_t i, const ColumnVector& other,
                   std::size_t j) const noexcept;
 
-  /// Wire size of cell `i` under the Value::WireSizeBytes formula.
-  std::size_t WireSizeAt(std::size_t i) const noexcept;
-
   /// Total wire size of the column, maintained incrementally on append.
   std::size_t wire_bytes() const noexcept { return wire_bytes_; }
 
@@ -108,8 +103,8 @@ class ColumnVector {
 };
 
 /// An in-memory relation instance in columnar layout: how the cluster stores
-/// base relations and how batches flow between kernels. Interconvertible
-/// with the row Table, which the edges use (input rows, oracles, results).
+/// base relations and how batches flow between kernels. FromRows loads a row
+/// Table; a row Table viewing this one reads it back.
 class ColumnarTable {
  public:
   ColumnarTable() = default;
@@ -120,9 +115,6 @@ class ColumnarTable {
 
   /// Converts a validated row table. Cell types were checked on the row side.
   static ColumnarTable FromRows(const Table& rows);
-
-  /// Materializes back into a row table (same header, same row order).
-  Table MaterializeRows() const;
 
   const std::vector<Column>& columns() const noexcept { return header_; }
   std::size_t column_count() const noexcept { return header_.size(); }

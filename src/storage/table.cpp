@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <iomanip>
+#include <numeric>
 #include <sstream>
+
+#include "storage/column.hpp"
 
 namespace cisqp::storage {
 
@@ -22,6 +25,57 @@ Status CheckRow(const std::vector<Column>& header, const Row& row) {
     }
   }
   return Status::Ok();
+}
+
+namespace {
+
+std::vector<std::size_t> AllColumns(const ColumnarTable& table) {
+  std::vector<std::size_t> all(table.column_count());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  return all;
+}
+
+}  // namespace
+
+Table::Table(std::shared_ptr<const ColumnarTable> source,
+             std::vector<std::size_t> col_map,
+             std::optional<SelectionVector> sel)
+    : view_(std::make_shared<View>()) {
+  CISQP_CHECK(source != nullptr);
+  columns_.reserve(col_map.size());
+  for (const std::size_t c : col_map) {
+    CISQP_CHECK(c < source->column_count());
+    columns_.push_back(source->columns()[c]);
+  }
+  BuildColumnIndex();
+  view_->row_count = sel ? sel->size() : source->row_count();
+  view_->source = std::move(source);
+  view_->col_map = std::move(col_map);
+  view_->sel = std::move(sel);
+}
+
+Table::Table(std::shared_ptr<const ColumnarTable> source)
+    : Table(source, AllColumns(*source), std::nullopt) {}
+
+const std::vector<Row>& Table::View::Rows() {
+  // The one place columnar cells become Rows. They are built into a local
+  // and moved in last: if the build throws, call_once leaves the flag unset
+  // and rows_ untouched, so the next reader starts over from nothing.
+  std::call_once(built_, [this] {
+    std::vector<Row> rows;
+    rows.reserve(row_count);
+    for (std::size_t r = 0; r < row_count; ++r) {
+      const std::size_t id = sel ? (*sel)[r] : r;
+      Row row;
+      row.reserve(col_map.size());
+      for (const std::size_t c : col_map) {
+        row.push_back(source->column(c).ValueAt(id));
+      }
+      rows.push_back(std::move(row));
+    }
+    rows_ = std::move(rows);
+  });
+  return rows_;
 }
 
 Table Table::ForRelation(const catalog::Catalog& cat, catalog::RelationId rel) {
@@ -59,13 +113,13 @@ IdSet Table::AttributeSet() const {
 
 Status Table::AppendRow(Row row) {
   CISQP_RETURN_IF_ERROR(CheckRow(columns_, row));
-  rows_.push_back(std::move(row));
+  AppendRowUnchecked(std::move(row));
   return Status::Ok();
 }
 
-std::size_t Table::WireSizeBytes() const noexcept {
+std::size_t Table::WireSizeBytes() const {
   std::size_t total = 0;
-  for (const Row& r : rows_) {
+  for (const Row& r : rows()) {
     for (const Value& v : r) total += v.WireSizeBytes();
   }
   return total;
@@ -95,6 +149,7 @@ std::vector<std::size_t> SortedRowPermutation(const std::vector<Row>& rows) {
 
 Table Table::Canonicalized() const {
   Table out = *this;
+  out.OwnRows();
   std::sort(out.rows_.begin(), out.rows_.end(), RowTotalLess);
   return out;
 }
@@ -102,10 +157,12 @@ Table Table::Canonicalized() const {
 bool Table::SameRowMultiset(const Table& a, const Table& b) {
   if (a.columns_ != b.columns_) return false;
   if (a.row_count() != b.row_count()) return false;
-  const std::vector<std::size_t> pa = SortedRowPermutation(a.rows_);
-  const std::vector<std::size_t> pb = SortedRowPermutation(b.rows_);
+  const std::vector<Row>& ra = a.rows();
+  const std::vector<Row>& rb = b.rows();
+  const std::vector<std::size_t> pa = SortedRowPermutation(ra);
+  const std::vector<std::size_t> pb = SortedRowPermutation(rb);
   for (std::size_t i = 0; i < pa.size(); ++i) {
-    if (!(a.rows_[pa[i]] == b.rows_[pb[i]])) return false;
+    if (!(ra[pa[i]] == rb[pb[i]])) return false;
   }
   return true;
 }
@@ -118,12 +175,13 @@ std::string Table::ToDisplayString(const catalog::Catalog& cat,
     headers[i] = cat.attribute(columns_[i].attribute).name;
     widths[i] = headers[i].size();
   }
-  const std::size_t shown = std::min(max_rows, rows_.size());
+  const std::vector<Row>& rows = this->rows();
+  const std::size_t shown = std::min(max_rows, rows.size());
   std::vector<std::vector<std::string>> cells(shown);
   for (std::size_t r = 0; r < shown; ++r) {
     cells[r].resize(columns_.size());
     for (std::size_t c = 0; c < columns_.size(); ++c) {
-      cells[r][c] = rows_[r][c].ToString();
+      cells[r][c] = rows[r][c].ToString();
       widths[c] = std::max(widths[c], cells[r][c].size());
     }
   }
@@ -148,10 +206,10 @@ std::string Table::ToDisplayString(const catalog::Catalog& cat,
     oss << "\n";
   }
   rule();
-  if (shown < rows_.size()) {
-    oss << "(" << rows_.size() - shown << " more rows)\n";
+  if (shown < rows.size()) {
+    oss << "(" << rows.size() - shown << " more rows)\n";
   }
-  oss << rows_.size() << " row(s)\n";
+  oss << rows.size() << " row(s)\n";
   return oss.str();
 }
 

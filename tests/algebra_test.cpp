@@ -198,7 +198,7 @@ TEST_F(AlgebraTest, DistinctKeepsFirstOccurrence) {
   ASSERT_OK(t.AppendRow({Value(std::int64_t{1}), Value("a")}));
   ASSERT_OK(t.AppendRow({Value(std::int64_t{1}), Value("a")}));
   ASSERT_OK(t.AppendRow({Value(std::int64_t{1}), Value("b")}));
-  const Table out = DistinctBatch(AsBatch(t)).MaterializeRows();
+  const Table out = DistinctBatch(AsBatch(t)).ToTable();
   EXPECT_EQ(out.row_count(), 2u);
 }
 

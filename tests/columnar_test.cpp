@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <random>
+#include <thread>
 
 #include "algebra/vectorized.hpp"
 #include "storage/column.hpp"
@@ -95,9 +97,10 @@ std::vector<Column> MixedHeader() {
 TEST(ColumnarTableTest, RoundTripPreservesRowsAndOrder) {
   std::mt19937 rng(7);
   const Table t = RandomTable(rng, MixedHeader(), 64, /*null_prob=*/0.3);
-  const ColumnarTable ct = ColumnarTable::FromRows(t);
-  EXPECT_EQ(ct.row_count(), t.row_count());
-  ExpectExactlyEqual(ct.MaterializeRows(), t);
+  const auto ct =
+      std::make_shared<const ColumnarTable>(ColumnarTable::FromRows(t));
+  EXPECT_EQ(ct->row_count(), t.row_count());
+  ExpectExactlyEqual(Table(ct), t);
 }
 
 TEST(ColumnarTableTest, CachedWireSizeMatchesRowFormula) {
@@ -117,6 +120,130 @@ TEST(ColumnarTableTest, IdentityBatchMaterializeSharesTheSource) {
   const ColumnarBatch batch = ColumnarBatch::FromTable(source);
   EXPECT_TRUE(batch.identity());
   EXPECT_EQ(batch.Materialize().get(), source.get());
+}
+
+// --- view-backed row tables ------------------------------------------------
+//
+// storage::Table can view a ColumnarTable through a column map and an
+// optional selection vector, building its rows on first read. Such a table
+// must be indistinguishable from the one built row by row from the same
+// view.
+
+/// The view (`col_map`, `sel`) of row table `t`, built row by row.
+Table RowBuiltView(const Table& t, const std::vector<std::size_t>& col_map,
+                   const std::optional<storage::SelectionVector>& sel) {
+  std::vector<Column> header;
+  for (const std::size_t c : col_map) header.push_back(t.columns()[c]);
+  Table out(std::move(header));
+  const std::size_t n = sel ? sel->size() : t.row_count();
+  for (std::size_t r = 0; r < n; ++r) {
+    const Row& src = t.row(sel ? (*sel)[r] : r);
+    Row row;
+    for (const std::size_t c : col_map) row.push_back(src[c]);
+    CISQP_CHECK(out.AppendRow(std::move(row)).ok());
+  }
+  return out;
+}
+
+void ExpectSameAsRowBuilt(const Table& view, const Table& want) {
+  EXPECT_EQ(view.row_count(), want.row_count());
+  EXPECT_EQ(view.WireSizeBytes(), want.WireSizeBytes());
+  EXPECT_EQ(view.AttributeSet(), want.AttributeSet());
+  for (const catalog::AttributeId a : {kA, kB, kC, kD}) {
+    EXPECT_EQ(view.ColumnIndex(a), want.ColumnIndex(a));
+  }
+  ExpectExactlyEqual(view, want);
+  ExpectExactlyEqual(view.Canonicalized(), want.Canonicalized());
+  EXPECT_TRUE(Table::SameRowMultiset(view, want));
+}
+
+TEST(ViewTableTest, MatchesTheTableBuiltRowByRow) {
+  std::mt19937 rng(97);
+  for (int iter = 0; iter < 30; ++iter) {
+    const std::size_t rows = iter % 5 == 0 ? 0 : 1 + rng() % 40;
+    const Table t = RandomTable(rng, MixedHeader(), rows, /*null_prob=*/0.3);
+    const auto source =
+        std::make_shared<const ColumnarTable>(ColumnarTable::FromRows(t));
+    // Column maps may repeat a column; selections may repeat rows, reorder
+    // them, or be empty.
+    std::vector<std::size_t> col_map(1 + rng() % 5);
+    for (std::size_t& c : col_map) c = rng() % t.column_count();
+    storage::SelectionVector sel(rows == 0 ? 0 : rng() % 50);
+    for (std::uint32_t& id : sel) id = static_cast<std::uint32_t>(rng() % rows);
+    const std::vector<std::size_t> all = {0, 1, 2};
+
+    ExpectSameAsRowBuilt(Table(source), t);
+    ExpectSameAsRowBuilt(Table(source, col_map, std::nullopt),
+                         RowBuiltView(t, col_map, std::nullopt));
+    ExpectSameAsRowBuilt(Table(source, col_map, sel),
+                         RowBuiltView(t, col_map, sel));
+    ExpectSameAsRowBuilt(Table(source, all, sel), RowBuiltView(t, all, sel));
+    ExpectSameAsRowBuilt(Table(source, col_map, storage::SelectionVector{}),
+                         RowBuiltView(t, col_map, storage::SelectionVector{}));
+  }
+}
+
+TEST(ViewTableTest, ConcurrentReadersShareOneBuild) {
+  std::mt19937 rng(101);
+  const Table t = RandomTable(rng, MixedHeader(), 3000, /*null_prob=*/0.2);
+  storage::SelectionVector sel;
+  for (std::size_t r = t.row_count(); r-- > 0;) {
+    if (r % 3 != 0) sel.push_back(static_cast<std::uint32_t>(r));
+  }
+  const std::vector<std::size_t> col_map = {2, 0, 1, 0};
+  const Table view(
+      std::make_shared<const ColumnarTable>(ColumnarTable::FromRows(t)),
+      col_map, sel);
+  const Table want = RowBuiltView(t, col_map, sel);
+
+  constexpr std::size_t kThreads = 8;
+  std::vector<const std::vector<Row>*> seen(kThreads, nullptr);
+  std::vector<char> same_cells(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      const std::vector<Row>& rows = view.rows();
+      seen[i] = &rows;
+      bool same = rows.size() == want.row_count();
+      for (std::size_t r = 0; same && r < rows.size(); ++r) {
+        for (std::size_t c = 0; same && c < col_map.size(); ++c) {
+          same = rows[r][c].CompareTotal(want.row(r)[c]) == 0;
+        }
+      }
+      same_cells[i] = same ? 1 : 0;
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(seen[i], &view.rows()) << "thread " << i;
+    EXPECT_EQ(same_cells[i], 1) << "thread " << i;
+  }
+}
+
+TEST(ViewTableTest, AppendingToACopyLeavesTheOthersUnchanged) {
+  std::mt19937 rng(103);
+  const Table t = RandomTable(rng, MixedHeader(), 12, /*null_prob=*/0.3);
+  const Row extra = {Value(std::int64_t{9}), Value("new"), Value()};
+  Table original(
+      std::make_shared<const ColumnarTable>(ColumnarTable::FromRows(t)));
+
+  Table copy = original;
+  ASSERT_OK(copy.AppendRow(extra));
+  ASSERT_EQ(copy.row_count(), 13u);
+  EXPECT_EQ(copy.row(12)[1].CompareTotal(Value("new")), 0);
+  EXPECT_EQ(original.row_count(), 12u);
+  ExpectExactlyEqual(original, t);
+
+  // The reverse: the original appends (Reserve first) after its rows were
+  // built and shared; a copy taken before keeps them.
+  const Table other = original;
+  original.Reserve(20);
+  original.AppendRowUnchecked(extra);
+  EXPECT_EQ(original.row_count(), 13u);
+  EXPECT_EQ(other.row_count(), 12u);
+  EXPECT_EQ(other.WireSizeBytes(), t.WireSizeBytes());
+  ExpectExactlyEqual(other, t);
+  ExpectExactlyEqual(original, copy);
 }
 
 // --- storage satellite fixes -----------------------------------------------
@@ -186,7 +313,7 @@ TEST(KernelEquivalenceTest, DistinctAfterProjectMatchesRowKernel) {
   ASSERT_OK_AND_ASSIGN(const Table narrow,
                        AsRows(ProjectBatch(AsBatch(t), {kB, kC})));
   ASSERT_OK_AND_ASSIGN(const Table narrow_row, testcheck::RowProject(t, {kB, kC}));
-  ExpectExactlyEqual(DistinctBatch(AsBatch(narrow)).MaterializeRows(),
+  ExpectExactlyEqual(DistinctBatch(AsBatch(narrow)).ToTable(),
                      testcheck::RowDistinct(narrow_row));
 }
 
@@ -322,7 +449,7 @@ TEST(KernelEquivalenceTest, DistinctMatchesRowKernelKeepsFirstOccurrence) {
     // Few distinct cell values + high NULL rate → many exact-duplicate rows,
     // including rows equal only through NULL == NULL.
     const Table t = RandomTable(rng, MixedHeader(), 50, /*null_prob=*/0.5);
-    ExpectExactlyEqual(DistinctBatch(AsBatch(t)).MaterializeRows(),
+    ExpectExactlyEqual(DistinctBatch(AsBatch(t)).ToTable(),
                        testcheck::RowDistinct(t));
   }
 }
@@ -357,7 +484,7 @@ TEST(KernelEquivalenceTest, EmptyInputsMatchRowKernels) {
                        testcheck::RowNaturalJoinOnShared(t, r));
   ExpectExactlyEqual(n, n_row);
 
-  ExpectExactlyEqual(DistinctBatch(AsBatch(t)).MaterializeRows(),
+  ExpectExactlyEqual(DistinctBatch(AsBatch(t)).ToTable(),
                      testcheck::RowDistinct(t));
 }
 
@@ -387,7 +514,7 @@ TEST(RowKernelContractTest, SelectReservesAndDistinctKeepsFirstOccurrence) {
   EXPECT_EQ(ded.row(0)[0].CompareTotal(Value(std::int64_t{2})), 0);
   EXPECT_EQ(ded.row(1)[1].CompareTotal(Value("first")), 0);
   EXPECT_EQ(ded.row(3)[0].CompareTotal(Value()), 0);
-  ExpectExactlyEqual(DistinctBatch(AsBatch(t)).MaterializeRows(), ded);
+  ExpectExactlyEqual(DistinctBatch(AsBatch(t)).ToTable(), ded);
 }
 
 // --- morsel-parallel parity (DESIGN.md §14) --------------------------------
@@ -412,7 +539,7 @@ MorselContext ForcedCtx(ThreadPool& pool, std::size_t radix_bits = 0) {
 /// parallel gather's wire-byte reduction must match the sequential sum).
 void ExpectBatchesIdentical(const ColumnarBatch& got,
                             const ColumnarBatch& want) {
-  ExpectExactlyEqual(got.MaterializeRows(), want.MaterializeRows());
+  ExpectExactlyEqual(got.ToTable(), want.ToTable());
   EXPECT_EQ(got.Materialize()->WireSizeBytes(),
             want.Materialize()->WireSizeBytes());
 }
@@ -604,7 +731,7 @@ TEST(MorselParityTest, GoldenJoinOutputAtEveryThreadCount) {
     ThreadPool pool(threads);
     ASSERT_OK_AND_ASSIGN(const ColumnarBatch got,
                          JoinBatches(lb, rb, atoms, ForcedCtx(pool, 2)));
-    ExpectExactlyEqual(got.MaterializeRows(), golden);
+    ExpectExactlyEqual(got.ToTable(), golden);
   }
 }
 

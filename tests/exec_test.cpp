@@ -62,14 +62,57 @@ TEST_F(ExecTest, HandedOutTablesNeverChange) {
   const catalog::RelationId insurance = Relation(fix_.cat, "Insurance");
   ASSERT_OK(cluster.InsertRow(
       insurance, {storage::Value(std::int64_t{1}), storage::Value("gold")}));
+  // TableOf wraps the stored table instead of copying it; holding the handle
+  // makes the next insert copy the table first, so its rows, first read
+  // after that insert, are the ones it was handed.
+  const storage::Table table_before = cluster.TableOf(insurance);
+  ASSERT_OK(cluster.InsertRow(
+      insurance, {storage::Value(std::int64_t{2}), storage::Value("silver")}));
   const std::shared_ptr<const storage::ColumnarTable> before =
       cluster.ColumnarOf(insurance);
   ASSERT_OK(cluster.InsertRow(
-      insurance, {storage::Value(std::int64_t{2}), storage::Value("silver")}));
-  EXPECT_EQ(before->row_count(), 1u);
-  EXPECT_EQ(before->column(0).Int64At(0), 1);
-  EXPECT_EQ(cluster.ColumnarOf(insurance)->row_count(), 2u);
-  EXPECT_EQ(cluster.TableOf(insurance).row(1)[1], storage::Value("silver"));
+      insurance, {storage::Value(std::int64_t{3}), storage::Value("bronze")}));
+  ASSERT_EQ(table_before.row_count(), 1u);
+  EXPECT_EQ(table_before.row(0)[0], storage::Value(std::int64_t{1}));
+  EXPECT_EQ(table_before.row(0)[1], storage::Value("gold"));
+  EXPECT_EQ(before->row_count(), 2u);
+  EXPECT_EQ(before->column(0).Int64At(1), 2);
+  EXPECT_EQ(cluster.ColumnarOf(insurance)->row_count(), 3u);
+  EXPECT_EQ(cluster.TableOf(insurance).row(2)[1], storage::Value("bronze"));
+}
+
+TEST_F(ExecTest, ResultTablesOutliveTheirCluster) {
+  // A result table is a view that owns its source. The paper query's answer
+  // views a join output; a whole-relation scan's answer and a TableOf handle
+  // view the stored table itself. All three read back after the cluster
+  // that produced them is destroyed (the ASan job checks this).
+  const catalog::RelationId insurance = Relation(fix_.cat, "Insurance");
+  auto spec = sql::ParseAndBind(fix_.cat, "SELECT Holder, Plan FROM Insurance");
+  ASSERT_OK(spec.status());
+  ASSERT_OK_AND_ASSIGN(plan::QueryPlan scan_plan,
+                       plan::PlanBuilder(fix_.cat).Build(*spec));
+  planner::SafePlanner planner(fix_.cat, fix_.auths);
+  ASSERT_OK_AND_ASSIGN(planner::SafePlan scan_sp, planner.Plan(scan_plan));
+  DistributedExecutor executor(*cluster_, fix_.auths);
+  ASSERT_OK_AND_ASSIGN(ExecutionResult joined,
+                       executor.Execute(plan_, assignment_));
+  ASSERT_OK_AND_ASSIGN(ExecutionResult scanned,
+                       executor.Execute(scan_plan, scan_sp.assignment));
+  const storage::Table stored = cluster_->TableOf(insurance);
+  // Canonicalized tables own their rows, so they are the references.
+  ASSERT_OK_AND_ASSIGN(const storage::Table central,
+                       ExecuteCentralized(*cluster_, plan_));
+  const storage::Table want_joined = central.Canonicalized();
+  const storage::Table want_stored =
+      cluster_->TableOf(insurance).Canonicalized();
+  cluster_.reset();
+
+  EXPECT_GT(joined.table.row_count(), 0u);
+  EXPECT_TRUE(storage::Table::SameRowMultiset(joined.table, want_joined));
+  EXPECT_GT(scanned.table.row_count(), 0u);
+  EXPECT_TRUE(storage::Table::SameRowMultiset(scanned.table, want_stored));
+  EXPECT_EQ(scanned.table.WireSizeBytes(), want_stored.WireSizeBytes());
+  EXPECT_TRUE(storage::Table::SameRowMultiset(stored, want_stored));
 }
 
 TEST(ClusterTest, ConcurrentColumnarReadsOfAnUnloadedRelation) {

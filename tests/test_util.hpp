@@ -72,8 +72,8 @@ inline authz::JoinPath Path(
 }
 
 /// Row fixtures through the batch kernels: `AsBatch` wraps a row table as
-/// the identity batch of its columnar copy, and `AsRows` materializes what a
-/// kernel returned, or passes its error on.
+/// the identity batch of its columnar copy, and `AsRows` views what a kernel
+/// returned as a row table, or passes its error on.
 inline algebra::ColumnarBatch AsBatch(const storage::Table& table) {
   return algebra::ColumnarBatch::FromTable(
       std::make_shared<const storage::ColumnarTable>(
@@ -83,7 +83,7 @@ inline algebra::ColumnarBatch AsBatch(const storage::Table& table) {
 inline Result<storage::Table> AsRows(
     const Result<algebra::ColumnarBatch>& out) {
   if (!out.ok()) return out.status();
-  return out->MaterializeRows();
+  return out->ToTable();
 }
 
 /// The paper's scenario, parsed and planned with FROM-clause join order
